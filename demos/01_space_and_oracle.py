@@ -15,7 +15,7 @@ from perfgan import (
     cardinality,
     default_space,
     fitness,
-    normalize,
+    normalize_batch,
     oracle_positive_set,
     positive_density,
     snap,
@@ -32,8 +32,8 @@ print(f"Cardinality: {cardinality(space):,} configurations\n")
 # coordinate on an even grid in [-1, 1]; snapping inverts it for any
 # continuous vector, which is how network outputs become grid inputs.
 example = (4, 18, 9, 0, 0, 0)  # big cluster flat out, little cluster off
-vec = normalize(space, example)
-print(f"normalize({example}) = {np.round(vec, 3)}")
+vec = normalize_batch(space, [example])[0]
+print(f"encoding of {example} = {np.round(vec, 3)}")
 print(f"snap of a perturbed vector: {snap(space, vec + 0.04)}\n")
 
 # Power rises with active CPUs, utilization, and the cube of the

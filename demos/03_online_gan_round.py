@@ -38,7 +38,7 @@ inputs, targets = warmup.training_arrays(space)
 print(f"discriminator MSE before training: "
       f"{loss_mse(forward(gan.discriminator, inputs), targets):.4f}")
 
-gan = train_discriminator(gan, warmup.gan_pairs(space), GanHyperparams(),
+gan = train_discriminator(gan, (inputs, targets), GanHyperparams(),
                           np.random.default_rng(8))
 print(f"discriminator MSE after training:  "
       f"{loss_mse(forward(gan.discriminator, inputs), targets):.4f}")

@@ -59,7 +59,7 @@ from .space import (
     cardinality,
     default_space,
     enumerate_inputs,
-    normalize,
+    normalize_batch,
     sample_uniform,
     snap,
 )

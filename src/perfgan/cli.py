@@ -14,8 +14,6 @@ import argparse
 import json
 import logging
 import sys
-
-import numpy as np
 from importlib.metadata import PackageNotFoundError, version
 
 from .harness import (
@@ -24,7 +22,7 @@ from .harness import (
     run_experiment,
 )
 from .space import cardinality
-from .sut import CalibrationError
+from .sut import CalibrationError, oracle_positive_count
 
 
 def _package_version() -> str:
@@ -88,9 +86,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     total = cardinality(cfg.space)
-    positives = int(
-        np.count_nonzero(cfg.sut.power_grid(cfg.space) >= cfg.fitness.p_m)
-    )
+    positives = oracle_positive_count(cfg.sut, cfg.space, cfg.fitness)
     print(f"cardinality: {total}")
     print(f"positives: {positives}")
     print(f"density: {positives / total!r}")

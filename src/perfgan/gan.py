@@ -13,18 +13,17 @@ acceptance checks elsewhere compare the raw prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .nn import (
+    Dataset,
     LayerSpec,
     NetworkState,
     NetworkTopology,
     RmspropState,
-    backward,
-    backward_from_output_grad,
     forward,
+    forward_trace,
     init_network,
     rmsprop_step,
     train_epochs,
@@ -52,10 +51,6 @@ DISCRIMINATOR_TOPOLOGY = NetworkTopology(
         LayerSpec(1, "relu"),
     ),
 )
-
-# (normalized input vector, measured fitness) pairs
-SuitePairs = Sequence[tuple[np.ndarray, float]]
-
 
 @dataclass(frozen=True)
 class GanHyperparams:
@@ -112,22 +107,16 @@ def predict_fitness(gan: GanModel, inputs: np.ndarray) -> np.ndarray:
     return out[:, 0]
 
 
-def _suite_arrays(suite: SuitePairs) -> tuple[np.ndarray, np.ndarray]:
-    if len(suite) == 0:
-        raise ValueError("suite must be nonempty")
-    inputs = np.vstack([np.asarray(vec, dtype=np.float64) for vec, _ in suite])
-    targets = np.array([[f] for _, f in suite], dtype=np.float64)
-    return inputs, targets
-
-
 def train_discriminator(
-    gan: GanModel, suite: SuitePairs, hp: GanHyperparams, rng: np.random.Generator
+    gan: GanModel, dataset: Dataset, hp: GanHyperparams, rng: np.random.Generator
 ) -> GanModel:
-    """Fit the discriminator to measured fitness; generator untouched."""
-    inputs, targets = _suite_arrays(suite)
+    """Fit the discriminator to measured fitness; generator untouched.
+
+    `dataset` is (normalized inputs (n, 6), fitness (n, 1)), as built by
+    `TestSuite.training_arrays`.
+    """
     disc, opt, _ = train_epochs(
-        gan.discriminator, (inputs, targets), gan.disc_opt,
-        hp.disc_epochs, hp.minibatch, rng,
+        gan.discriminator, dataset, gan.disc_opt, hp.disc_epochs, hp.minibatch, rng
     )
     return replace(gan, discriminator=disc, disc_opt=opt)
 
@@ -148,15 +137,16 @@ def train_generator(
     ones = np.ones((n, 1))
     for _ in range(hp.gen_epochs):
         noise = rng.uniform(-1.0, 1.0, size=(n, gan.latent_dim))
-        candidates = forward(generator, noise)
-        through_disc = backward(gan.discriminator, candidates, ones)
-        grads = backward_from_output_grad(generator, noise, through_disc.input_grad)
+        gen_trace = forward_trace(generator, noise)
+        disc_trace = forward_trace(gan.discriminator, gen_trace.output)
+        _, through_disc = disc_trace.mse_backward(ones)
+        grads = gen_trace.backward(through_disc.input_grad)
         generator, gen_opt = rmsprop_step(generator, grads, gen_opt)
     return replace(gan, generator=generator, gen_opt=gen_opt)
 
 
 def train_gan(
-    gan: GanModel, suite: SuitePairs, hp: GanHyperparams, rng: np.random.Generator
+    gan: GanModel, dataset: Dataset, hp: GanHyperparams, rng: np.random.Generator
 ) -> GanModel:
     """One online round: discriminator on the suite, then the generator.
 
@@ -165,7 +155,7 @@ def train_gan(
     """
     hp_resolved = hp
     if hp.gen_samples_per_round is None:
-        hp_resolved = replace(hp, gen_samples_per_round=max(32, len(suite)))
-    gan = train_discriminator(gan, suite, hp, rng)
+        hp_resolved = replace(hp, gen_samples_per_round=max(32, len(dataset[0])))
+    gan = train_discriminator(gan, dataset, hp, rng)
     return train_generator(gan, hp_resolved, rng)
 

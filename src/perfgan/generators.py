@@ -34,13 +34,12 @@ from .gan import (
     sample_candidates,
     train_gan,
 )
-from .nn import NetworkState, RmspropState, forward, init_network, train_epochs
+from .nn import Dataset, RmspropState, forward, init_network, train_epochs
 from .rng import stream_rng
 from .space import (
     InputSpace,
     TestInput,
     cardinality,
-    normalize,
     normalize_batch,
     sample_uniform,
     snap,
@@ -78,11 +77,8 @@ class TestSuite:
     def inputs(self) -> set[TestInput]:
         return {r.input for r in self.records}
 
-    def gan_pairs(self, space: InputSpace) -> list[tuple[np.ndarray, float]]:
-        """(normalized input, measured fitness) training pairs."""
-        return [(normalize(space, r.input), r.fitness) for r in self.records]
-
-    def training_arrays(self, space: InputSpace) -> tuple[np.ndarray, np.ndarray]:
+    def training_arrays(self, space: InputSpace) -> Dataset:
+        """(normalized inputs (n, 6), measured fitness (n, 1)) for training."""
         x = normalize_batch(space, [r.input for r in self.records])
         y = np.array([[r.fitness] for r in self.records])
         return x, y
@@ -185,11 +181,6 @@ def run_random(
     return suite
 
 
-def _dn_predict(disc: NetworkState, vectors: np.ndarray) -> np.ndarray:
-    """Surrogate fitness per normalized candidate row."""
-    return forward(disc, vectors)[:, 0]
-
-
 def run_dn(
     space: InputSpace,
     sut: SutInterface,
@@ -231,7 +222,7 @@ def run_dn(
             batch = min(cfg.batchsize, total - len(executed))
             candidates = sample_uniform(space, executed, batch, rng_sample)
             trials += batch
-            predictions = _dn_predict(disc, normalize_batch(space, candidates))
+            predictions = forward(disc, normalize_batch(space, candidates))[:, 0]
             best = int(np.argmax(predictions))
             if predictions[best] >= target:
                 break
@@ -273,7 +264,7 @@ def run_ogan(
 
     gan = init_gan(cfg.gan, stream_rng(seed, "net-init"))
     if len(suite) > 0:
-        gan = train_gan(gan, suite.gan_pairs(space), cfg.gan, rng_train)
+        gan = train_gan(gan, suite.training_arrays(space), cfg.gan, rng_train)
 
     executed = suite.inputs()
     while len(suite) < cfg.budget:
@@ -290,9 +281,8 @@ def run_ogan(
                 (candidate,) = sample_uniform(space, executed, 1, rng_fallback)
             if candidate in executed:
                 continue
-            prediction = float(
-                predict_fitness(gan, normalize(space, candidate)[None, :])[0]
-            )
+            vectors = normalize_batch(space, [candidate])
+            prediction = float(predict_fitness(gan, vectors)[0])
             if prediction >= target:
                 break
         executed.add(candidate)
@@ -302,7 +292,7 @@ def run_ogan(
         suite.records.append(record)
         if trace_hook is not None:
             trace_hook(record, target, prediction)
-        gan = train_gan(gan, suite.gan_pairs(space), cfg.gan, rng_train)
+        gan = train_gan(gan, suite.training_arrays(space), cfg.gan, rng_train)
     return suite
 
 

@@ -40,7 +40,7 @@ from .generators import (
 )
 from .rng import derive_run_seed
 from .space import Dimension, InputSpace, cardinality
-from .sut import FitnessSpec, SyntheticSut, calibrate_gain
+from .sut import FitnessSpec, SyntheticSut, calibrate_gain, oracle_positive_count
 
 log = logging.getLogger(__name__)
 
@@ -357,9 +357,7 @@ def run_experiment(
 
 def summarize(cfg: ExperimentConfig, results: list[RunResult]) -> Summary:
     total = cardinality(cfg.space)
-    oracle_positives = int(
-        np.count_nonzero(cfg.sut.power_grid(cfg.space) >= cfg.fitness.p_m)
-    )
+    oracle_positives = oracle_positive_count(cfg.sut, cfg.space, cfg.fitness)
     algo_summaries = []
     for variant in cfg.algorithms:
         suites = [r.suite for r in results if r.algorithm == variant.label]

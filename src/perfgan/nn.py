@@ -2,12 +2,12 @@
 
 Sized for the two networks this project needs (a 3x128 tanh generator
 and a 3x8 discriminator with a relu output), so there is no autograd
-graph: each network is a plain list of weight matrices and bias vectors,
-and the backward pass is hand-written reverse-mode differentiation of
-mean-squared error through the layer stack.  Besides parameter
-gradients, the backward pass also returns the gradient with respect to
-the *inputs*, which is what lets a generator train through a frozen
-downstream network.
+graph: each network is a plain list of weight matrices and bias vectors.
+A training step runs each network forward once (`forward_trace`); the
+loss and the hand-written reverse-mode backward pass both read that
+trace.  Besides parameter gradients, the backward pass also returns the
+gradient with respect to the *inputs*, which is what lets a generator
+train through a frozen downstream network.
 
 All state is float64 and updates are functional: training steps return
 new parameter/optimizer values and never mutate their arguments, so
@@ -22,6 +22,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 ACTIVATIONS = ("tanh", "relu", "linear")
+
+# (inputs (batch, input_dim), targets (batch, output_dim))
+Dataset = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -154,24 +157,58 @@ def _check_inputs(state: NetworkState, inputs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_trace(
-    state: NetworkState, inputs: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Pre-activations z and activations a per layer; a[0] is the input."""
+@dataclass(frozen=True)
+class Trace:
+    """One forward pass; zs[l] and activations[l + 1] belong to layer l."""
+
+    state: NetworkState
+    zs: list[np.ndarray]
+    activations: list[np.ndarray]
+
+    @property
+    def output(self) -> np.ndarray:
+        return self.activations[-1]
+
+    def mse_backward(self, targets: np.ndarray) -> tuple[float, Gradients]:
+        """loss_mse of the output against `targets`, and its gradients."""
+        diff = self.output - targets
+        return float(np.mean(diff * diff)), self.backward(2.0 * diff / diff.size)
+
+    def backward(self, output_grad: np.ndarray) -> Gradients:
+        """Backpropagate an upstream dL/d(output); feeding one network's
+        input gradient in here trains an upstream network through it."""
+        grad = np.asarray(output_grad, dtype=np.float64)
+        if grad.shape != self.output.shape:
+            raise ValueError(
+                f"output_grad must be {self.output.shape}, got {grad.shape}"
+            )
+        state, zs, activations = self.state, self.zs, self.activations
+        weight_grads: list[np.ndarray] = [np.empty(0)] * len(state.weights)
+        bias_grads: list[np.ndarray] = [np.empty(0)] * len(state.biases)
+        for l in range(len(state.weights) - 1, -1, -1):
+            layer = state.topology.layers[l]
+            dz = grad * _activation_grad(layer.activation, zs[l], activations[l + 1])
+            weight_grads[l] = activations[l].T @ dz
+            bias_grads[l] = dz.sum(axis=0)
+            grad = dz @ state.weights[l].T
+        return Gradients(weight_grads=weight_grads, bias_grads=bias_grads, input_grad=grad)
+
+
+def forward_trace(state: NetworkState, inputs: np.ndarray) -> Trace:
+    """Forward pass over a float64 (batch, input_dim) array, unchecked:
+    callers validate their inputs once, not per minibatch."""
     zs: list[np.ndarray] = []
     activations = [inputs]
     for layer, w, b in zip(state.topology.layers, state.weights, state.biases):
         z = activations[-1] @ w + b
         zs.append(z)
         activations.append(_apply_activation(layer.activation, z))
-    return zs, activations
+    return Trace(state, zs, activations)
 
 
 def forward(state: NetworkState, inputs: np.ndarray) -> np.ndarray:
     """Batched forward pass: (batch, input_dim) -> (batch, output_dim)."""
-    x = _check_inputs(state, inputs)
-    _, activations = _forward_trace(state, x)
-    return activations[-1]
+    return forward_trace(state, _check_inputs(state, inputs)).output
 
 
 def loss_mse(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -184,42 +221,13 @@ def loss_mse(predictions: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def backward_from_output_grad(
-    state: NetworkState, inputs: np.ndarray, output_grad: np.ndarray
-) -> Gradients:
-    """Backpropagate an upstream dL/d(output) through the network.
-
-    This is the chaining primitive: feeding one network's input gradient
-    in here trains an upstream network through it.
-    """
-    x = _check_inputs(state, inputs)
-    grad = np.asarray(output_grad, dtype=np.float64)
-    if grad.shape != (x.shape[0], state.topology.output_dim):
-        raise ValueError(
-            f"output_grad must be {(x.shape[0], state.topology.output_dim)}, "
-            f"got {grad.shape}"
-        )
-    zs, activations = _forward_trace(state, x)
-    weight_grads: list[np.ndarray] = [np.empty(0)] * len(state.weights)
-    bias_grads: list[np.ndarray] = [np.empty(0)] * len(state.biases)
-    for l in range(len(state.weights) - 1, -1, -1):
-        layer = state.topology.layers[l]
-        dz = grad * _activation_grad(layer.activation, zs[l], activations[l + 1])
-        weight_grads[l] = activations[l].T @ dz
-        bias_grads[l] = dz.sum(axis=0)
-        grad = dz @ state.weights[l].T
-    return Gradients(weight_grads=weight_grads, bias_grads=bias_grads, input_grad=grad)
-
-
 def backward(state: NetworkState, inputs: np.ndarray, targets: np.ndarray) -> Gradients:
     """Gradients of loss_mse(forward(state, inputs), targets)."""
-    x = _check_inputs(state, inputs)
+    trace = forward_trace(state, _check_inputs(state, inputs))
     t = np.asarray(targets, dtype=np.float64)
-    predictions = forward(state, x)
-    if t.shape != predictions.shape:
-        raise ValueError(f"targets must be {predictions.shape}, got {t.shape}")
-    output_grad = 2.0 * (predictions - t) / predictions.size
-    return backward_from_output_grad(state, x, output_grad)
+    if t.shape != trace.output.shape:
+        raise ValueError(f"targets must be {trace.output.shape}, got {t.shape}")
+    return trace.mse_backward(t)[1]
 
 
 def rmsprop_step(
@@ -250,7 +258,7 @@ def rmsprop_step(
 
 def train_epochs(
     state: NetworkState,
-    dataset: tuple[np.ndarray, np.ndarray],
+    dataset: Dataset,
     opt: RmspropState,
     epochs: int,
     minibatch: int,
@@ -269,13 +277,14 @@ def train_epochs(
     n = x.shape[0]
     if n == 0:
         raise ValueError("dataset must be nonempty")
-    if t.shape[0] != n:
-        raise ValueError("inputs and targets disagree on batch size")
+    want = (n, state.topology.output_dim)
+    if t.shape != want:
+        raise ValueError(f"targets must be {want}, got {t.shape}")
     if epochs < 0 or minibatch < 1:
         raise ValueError("epochs must be >= 0 and minibatch >= 1")
 
     if epochs == 0:
-        return state, opt, loss_mse(forward(state, x), t)
+        return state, opt, loss_mse(forward_trace(state, x).output, t)
 
     epoch_loss = 0.0
     for _ in range(epochs):
@@ -283,9 +292,8 @@ def train_epochs(
         total = 0.0
         for start in range(0, n, minibatch):
             batch = perm[start : start + minibatch]
-            xb, tb = x[batch], t[batch]
-            grads = backward(state, xb, tb)
-            total += loss_mse(forward(state, xb), tb) * len(batch)
+            loss, grads = forward_trace(state, x[batch]).mse_backward(t[batch])
+            total += loss * len(batch)
             state, opt = rmsprop_step(state, grads, opt)
         epoch_loss = total / n
     return state, opt, epoch_loss

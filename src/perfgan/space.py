@@ -105,27 +105,25 @@ def cardinality(space: InputSpace) -> int:
     return math.prod(space.level_counts)
 
 
-def normalize(space: InputSpace, test_input: TestInput) -> np.ndarray:
-    """Encode a grid input as a vector in [-1, 1]^6.
+def normalize_batch(space: InputSpace, inputs: Iterable[TestInput]) -> np.ndarray:
+    """Encode grid inputs as rows in [-1, 1]^6; returns (k, 6).
 
     Component j is -1 + 2*index/(L-1) for an L-level dimension; a
-    single-level dimension encodes as 0.
+    single-level dimension encodes as 0.  Raises ValueError on an index
+    outside its dimension.
     """
-    space.validate_input(test_input)
-    out = np.zeros(NUM_DIMENSIONS)
-    for j, (idx, count) in enumerate(zip(test_input, space.level_counts)):
-        if count > 1:
-            out[j] = -1.0 + 2.0 * idx / (count - 1)
-    return out
-
-
-def normalize_batch(space: InputSpace, inputs: Iterable[TestInput]) -> np.ndarray:
-    """Vectorized :func:`normalize` over many inputs; returns (k, 6)."""
     idx = np.asarray(list(inputs), dtype=np.int64)
     if idx.size == 0:
         return np.zeros((0, NUM_DIMENSIONS))
-    counts = np.asarray(space.level_counts, dtype=np.float64)
-    denom = np.maximum(counts - 1.0, 1.0)
+    if idx.ndim != 2 or idx.shape[1] != NUM_DIMENSIONS:
+        raise ValueError(f"inputs must have {NUM_DIMENSIONS} indices each")
+    counts = np.asarray(space.level_counts, dtype=np.int64)
+    bad = (idx < 0) | (idx >= counts)
+    if bad.any():
+        row, j = np.argwhere(bad)[0]
+        name = space.dims[j].name
+        raise ValueError(f"index {idx[row, j]} out of range for dimension {j} ({name!r})")
+    denom = np.maximum(counts - 1, 1).astype(np.float64)
     out = -1.0 + 2.0 * idx / denom
     out[:, counts == 1] = 0.0
     return out

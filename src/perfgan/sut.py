@@ -15,6 +15,7 @@ calibrated so positives make up a requested fraction of the space.
 
 from __future__ import annotations
 
+import math
 import subprocess
 from dataclasses import dataclass, replace
 from typing import Protocol
@@ -96,8 +97,8 @@ def _dynamic_grid(space: InputSpace, kappa_big: float, kappa_little: float) -> n
 
 def fitness(spec: FitnessSpec, power: float) -> float:
     """min(1, power/p_m); exactly 1 marks a positive test."""
-    if power < 0:
-        raise ValueError("power must be nonnegative")
+    if not 0 <= power < math.inf:
+        raise ValueError(f"power must be finite and nonnegative, got {power!r}")
     return min(1.0, power / spec.p_m)
 
 
@@ -109,10 +110,14 @@ def oracle_positive_set(
     return {unrank(space, int(r)) for r in np.flatnonzero(powers >= spec.p_m)}
 
 
+def oracle_positive_count(sut: SyntheticSut, space: InputSpace, spec: FitnessSpec) -> int:
+    """Number of configurations whose power meets the threshold."""
+    return int(np.count_nonzero(sut.power_grid(space) >= spec.p_m))
+
+
 def positive_density(sut: SyntheticSut, space: InputSpace, spec: FitnessSpec) -> float:
     """Fraction of the space whose power meets the threshold."""
-    powers = sut.power_grid(space)
-    return float(np.count_nonzero(powers >= spec.p_m)) / cardinality(space)
+    return oracle_positive_count(sut, space, spec) / cardinality(space)
 
 
 def calibrate_gain(

@@ -42,7 +42,7 @@ from perfgan.space import (
     cardinality,
     default_space,
     enumerate_inputs,
-    normalize,
+    normalize_batch,
     snap,
 )
 from perfgan.sut import FitnessSpec, SyntheticSut
@@ -239,7 +239,8 @@ def test_criterion_5_algorithm_invariants():
 
         # phase isolation: the untrained phase is bit-identical
         gan = init_gan(GanHyperparams(), np.random.default_rng(5))
-        suite_pairs = suites["random"].gan_pairs(space)[:16]
+        inputs, targets = suites["random"].training_arrays(space)
+        suite_pairs = (inputs[:16], targets[:16])
         after_disc = train_discriminator(gan, suite_pairs, GanHyperparams(),
                                          np.random.default_rng(6))
         assert all(
@@ -260,7 +261,7 @@ def test_criterion_5_algorithm_invariants():
         ]
         assert prefixes[0] == prefixes[1] == prefixes[2]
 
-        # snap(normalize(x)) is the identity on the whole 2^6 space
+        # snap inverts the encoding on the whole 2^6 space
         tiny = InputSpace(
             dims=tuple(
                 Dimension(name, (0.0, 1.0))
@@ -269,7 +270,7 @@ def test_criterion_5_algorithm_invariants():
             )
         )
         for t in enumerate_inputs(tiny):
-            assert snap(tiny, normalize(tiny, t)) == t
+            assert snap(tiny, normalize_batch(tiny, [t])[0]) == t
 
         assert time.perf_counter() - start < 60.0
 
@@ -285,7 +286,7 @@ def test_criterion_6_learning_signal():
 
         gan = init_gan(GanHyperparams(), np.random.default_rng(777))
         mse_before = loss_mse(forward(gan.discriminator, inputs), targets)
-        trained = train_discriminator(gan, warmup.gan_pairs(space),
+        trained = train_discriminator(gan, warmup.training_arrays(space),
                                       GanHyperparams(), np.random.default_rng(778))
         mse_after = loss_mse(forward(trained.discriminator, inputs), targets)
         assert mse_after < mse_before, f"{mse_after} !< {mse_before}"

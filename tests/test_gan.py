@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import perfgan.gan
+import perfgan.nn
 from perfgan.gan import (
     DISCRIMINATOR_TOPOLOGY,
     GENERATOR_TOPOLOGY,
@@ -30,9 +32,15 @@ def fresh_gan(seed=0):
 
 def toy_suite(n=8, seed=1):
     rng = np.random.default_rng(seed)
-    return [
-        (rng.uniform(-1, 1, size=6), float(rng.uniform(0, 1))) for _ in range(n)
-    ]
+    rows = [(rng.uniform(-1, 1, size=6), rng.uniform(0, 1)) for _ in range(n)]
+    return np.array([v for v, _ in rows]), np.array([[f] for _, f in rows])
+
+
+def constant_suite(vec, fitness, n):
+    return np.tile(vec, (n, 1)), np.full((n, 1), fitness)
+
+
+EMPTY_SUITE = (np.zeros((0, 6)), np.zeros((0, 1)))
 
 
 def expected_parameter_count(topology):
@@ -123,7 +131,7 @@ class TestTrainDiscriminator:
         # a dead output unit has exactly zero gradient and cannot learn
         gan = fresh_gan(0)
         vec = np.full(6, 0.5)
-        suite = [(vec, 0.9)] * 16
+        suite = constant_suite(vec, 0.9, 16)
         before = abs(predict_fitness(gan, vec[None, :])[0] - 0.9)
         trained = train_discriminator(gan, suite, GanHyperparams(disc_epochs=50),
                                       np.random.default_rng(1))
@@ -140,7 +148,7 @@ class TestTrainDiscriminator:
 
     def test_empty_suite_rejected(self):
         with pytest.raises(ValueError):
-            train_discriminator(fresh_gan(10), [], GanHyperparams(),
+            train_discriminator(fresh_gan(10), EMPTY_SUITE, GanHyperparams(),
                                 np.random.default_rng(0))
 
 
@@ -171,13 +179,28 @@ class TestTrainGenerator:
         after = predict_fitness(trained, sample_candidates(trained, 64, probe)).mean()
         assert after >= before
 
+    def test_one_trace_per_network_per_step(self, monkeypatch):
+        # each step runs the generator and the discriminator forward once;
+        # backprop reuses those passes
+        real = perfgan.nn.forward_trace
+        traced = []
+
+        def counting(state, inputs):
+            traced.append(state.topology)
+            return real(state, inputs)
+
+        for module in (perfgan.nn, perfgan.gan):
+            monkeypatch.setattr(module, "forward_trace", counting)
+        train_generator(fresh_gan(21), GanHyperparams(gen_epochs=3),
+                        np.random.default_rng(11))
+        assert traced == [GENERATOR_TOPOLOGY, DISCRIMINATOR_TOPOLOGY] * 3
+
 
 class TestChainRule:
     def test_generator_gradient_matches_finite_differences(self):
         # gradient of mse(disc(gen(z)), 1) w.r.t. generator parameters
         from perfgan.nn import (
-            LayerSpec, NetworkTopology, backward, backward_from_output_grad,
-            init_network,
+            LayerSpec, NetworkTopology, backward, forward_trace, init_network,
         )
 
         rng = np.random.default_rng(14)
@@ -192,7 +215,7 @@ class TestChainRule:
 
         candidates = forward(gen, noise)
         through = backward(disc, candidates, ones)
-        analytic = backward_from_output_grad(gen, noise, through.input_grad)
+        analytic = forward_trace(gen, noise).backward(through.input_grad)
 
         h = 1e-5
         for l in range(len(gen.weights)):
@@ -214,7 +237,7 @@ class TestTrainGan:
     def test_single_element_suite_runs_both_phases(self):
         # seed/point chosen so the relu output is live at the training point
         gan = fresh_gan(0)
-        suite = [(np.full(6, 0.3), 0.4)]
+        suite = constant_suite(np.full(6, 0.3), 0.4, 1)
         after = train_gan(gan, suite, GanHyperparams(), np.random.default_rng(8))
         assert not nets_equal(after.discriminator, gan.discriminator)
         assert not nets_equal(after.generator, gan.generator)
@@ -236,11 +259,12 @@ class TestTrainGan:
         rng = np.random.default_rng(10)
         staged = train_discriminator(fresh_gan(19), suite, hp, rng)
         staged = train_generator(
-            staged, replace(hp, gen_samples_per_round=max(32, len(suite))), rng
+            staged, replace(hp, gen_samples_per_round=max(32, len(suite[0]))), rng
         )
         assert nets_equal(combined.generator, staged.generator)
         assert nets_equal(combined.discriminator, staged.discriminator)
 
     def test_empty_suite_rejected(self):
         with pytest.raises(ValueError):
-            train_gan(fresh_gan(20), [], GanHyperparams(), np.random.default_rng(0))
+            train_gan(fresh_gan(20), EMPTY_SUITE, GanHyperparams(),
+                      np.random.default_rng(0))

@@ -93,7 +93,7 @@ class TestRunDn:
 
     def test_stub_predictor_accepts_first_batch(self, monkeypatch):
         monkeypatch.setattr(
-            generators, "_dn_predict", lambda disc, vecs: np.ones(len(vecs))
+            generators, "forward", lambda disc, vecs: np.ones((len(vecs), 1))
         )
         cfg = fast_cfg(budget=16, warmup=8, batchsize=4)
         suite = run_dn(SPACE, SUT, SPEC, cfg, 8)
@@ -141,7 +141,7 @@ class TestRunDn:
         def boom(*args):
             raise AssertionError("surrogate queried")
 
-        monkeypatch.setattr(generators, "_dn_predict", boom)
+        monkeypatch.setattr(generators, "forward", boom)
         cfg = fast_cfg(budget=10, warmup=10)
         suite = run_dn(SPACE, SUT, SPEC, cfg, 13)
         assert len(suite) == 10
@@ -196,10 +196,10 @@ class TestRunOgan:
             return np.tile(first["vec"], (k, 1))
 
         cfg = fast_cfg(budget=14, warmup=10, fallback_after=25)
-        from perfgan.space import normalize
+        from perfgan.space import normalize_batch
 
         real_run = run_random(SPACE, SUT, SPEC, fast_cfg(budget=1, warmup=0), 19)
-        first["vec"] = normalize(SPACE, real_run.records[0].input)
+        first["vec"] = normalize_batch(SPACE, [real_run.records[0].input])[0]
 
         monkeypatch.setattr(generators, "sample_candidates", collapsed)
         suite = run_ogan(SPACE, SUT, SPEC, cfg, 19)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import perfgan.nn as nn
 from perfgan.nn import (
     Gradients,
     LayerSpec,
@@ -10,8 +11,8 @@ from perfgan.nn import (
     NetworkTopology,
     RmspropState,
     backward,
-    backward_from_output_grad,
     forward,
+    forward_trace,
     init_network,
     loss_mse,
     rmsprop_step,
@@ -199,7 +200,7 @@ class TestBackward:
     def test_from_output_grad_shape_contract(self):
         net = make_net(3, [(2, "tanh")], seed=9)
         with pytest.raises(ValueError):
-            backward_from_output_grad(net, np.zeros((2, 3)), np.zeros((2, 3)))
+            forward_trace(net, np.zeros((2, 3))).backward(np.zeros((2, 3)))
 
 
 class TestRmsprop:
@@ -307,6 +308,23 @@ class TestTrainEpochs:
         with pytest.raises(ValueError):
             train_epochs(net, (np.zeros((0, 2)), np.zeros((0, 1))), opt, 1, 8,
                          np.random.default_rng(0))
+
+    def test_one_trace_per_minibatch(self, monkeypatch):
+        # the loss and the gradients of a minibatch read the same forward pass
+        real = nn.forward_trace
+        batch_sizes = []
+
+        def counting(state, inputs):
+            batch_sizes.append(len(inputs))
+            return real(state, inputs)
+
+        monkeypatch.setattr(nn, "forward_trace", counting)
+        net = make_net(3, [(5, "tanh"), (2, "linear")], seed=8)
+        x = np.random.default_rng(3).uniform(-1, 1, (10, 3))
+        y = np.random.default_rng(4).uniform(-1, 1, (10, 2))
+        train_epochs(net, (x, y), RmspropState.for_network(net), 3, 4,
+                     np.random.default_rng(5))
+        assert batch_sizes == [4, 4, 2] * 3
 
     def test_shapes_preserved_by_training(self):
         net = make_net(3, [(5, "tanh"), (2, "linear")], seed=8)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from perfgan.space import (
     Dimension,
@@ -11,7 +13,6 @@ from perfgan.space import (
     cardinality,
     default_space,
     enumerate_inputs,
-    normalize,
     normalize_batch,
     rank,
     sample_uniform,
@@ -65,6 +66,11 @@ class TestCardinality:
         assert cardinality(grid(2, 2, 2, 2, 2, 2)) == 64
 
 
+def normalize(space, test_input):
+    """One input's encoding, through the batch encoder."""
+    return normalize_batch(space, [test_input])[0]
+
+
 class TestNormalize:
     def test_endpoints(self):
         s = grid(2, 3, 4, 5, 6, 7)
@@ -100,7 +106,44 @@ class TestNormalize:
         inputs = list(enumerate_inputs(s))
         batch = normalize_batch(s, inputs)
         for row, t in zip(batch, inputs):
-            assert np.array_equal(row, normalize(s, t))
+            # the documented formula, one component at a time
+            expected = [
+                -1 + 2 * idx / (count - 1) if count > 1 else 0.0
+                for idx, count in zip(t, s.level_counts)
+            ]
+            assert np.array_equal(row, expected)
+
+
+# small random spaces: 1-6 levels per dimension
+level_counts = st.lists(st.integers(1, 6), min_size=6, max_size=6)
+
+
+@st.composite
+def space_and_input(draw):
+    counts = draw(level_counts)
+    return grid(*counts), tuple(draw(st.integers(0, c - 1)) for c in counts)
+
+
+@st.composite
+def space_and_bad_input(draw):
+    s, t = draw(space_and_input())
+    j = draw(st.integers(0, 5))
+    count = s.level_counts[j]
+    bad = draw(st.one_of(st.integers(-10, -1), st.integers(count, count + 10)))
+    return s, [t, t[:j] + (bad,) + t[j + 1 :]]
+
+
+class TestNormalizeProperties:
+    @given(space_and_input())
+    def test_snap_inverts_encoding(self, case):
+        s, t = case
+        assert snap(s, normalize_batch(s, [t])[0]) == t
+
+    @given(space_and_bad_input())
+    def test_out_of_range_index_raises(self, case):
+        s, batch = case  # the bad input is the second row
+        with pytest.raises(ValueError, match="out of range"):
+            normalize_batch(s, batch)
 
 
 class TestSnap:

@@ -99,6 +99,10 @@ class TestFitness:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             fitness(FitnessSpec(), -0.1)
+        # a broken measurement must not become a positive test
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=repr(bad)):
+                fitness(FitnessSpec(), bad)
 
 
 class TestOracle:
