@@ -40,7 +40,7 @@ for name, runner in (("random", run_random), ("dn bs=4", run_dn),
     positives, fitness_means, iters, trials = [], [], [], []
     for seed in seeds:
         suite = runner(space, sut, spec, cfg, seed)
-        stats = suite_stats(suite, spec)
+        stats = suite_stats(suite)
         positives.append(stats.positive_count)
         fitness_means.append(stats.mean_fitness)
         post = suite.records[cfg.warmup:]

@@ -7,22 +7,26 @@ is proposed:
 
 * random  -- keeps sampling uniformly among unexecuted inputs.
 * dn      -- draws a uniform batch, asks a surrogate network for each
-             candidate's fitness and proposes the argmax, repeating with
-             a geometrically decaying acceptance threshold until the
-             best prediction clears it.
-* ogan    -- asks a generator network for one candidate at a time
-             (snapped onto the grid), subject to the same decaying
-             threshold; generator and surrogate are retrained after
-             every executed test.
+             candidate's fitness and proposes the argmax.
+* ogan    -- asks a generator network for one candidate at a time,
+             snapped onto the grid.
 
-Every executed test records how many inner-loop passes and candidate
-evaluations it cost, which is what the comparison tables aggregate.
+dn and ogan share one acceptance loop (`_search`): each inner pass
+decays the threshold by `treducer`, drops proposed candidates that were
+already executed, and accepts the best-predicted remaining one if it
+clears the threshold; the model retrains after every executed test.
+They differ only in their proposal, prediction and retraining.
+
+Every executed test records how many inner-loop passes and proposed
+candidates it cost, which is what the comparison tables aggregate, and
+a searched test also records the threshold and prediction it was
+accepted at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,9 +56,11 @@ class TestRecord:
     """One executed test plus its inner-loop accounting.
 
     test_index is the 0-based position in the suite; inner_iterations
-    counts acceptance-loop passes and candidate_trials counts candidate
-    evaluations (equal for ogan; batch-size multiples for dn; both 1 for
-    warm-up and random tests).
+    counts acceptance-loop passes and candidate_trials counts proposed
+    candidates, executed duplicates included (equal for ogan;
+    batch-size multiples for dn; both 1 for warm-up and random tests).
+    threshold and prediction are the acceptance threshold and the
+    model's prediction at acceptance; None for warm-up and random tests.
     """
 
     input: TestInput
@@ -63,19 +69,22 @@ class TestRecord:
     inner_iterations: int
     candidate_trials: int
     test_index: int
+    threshold: float | None = None
+    prediction: float | None = None
 
 
 @dataclass
 class TestSuite:
-    """Ordered, duplicate-free list of executed tests."""
+    """Ordered, duplicate-free list of executed tests and their input set."""
 
     records: list[TestRecord] = field(default_factory=list)
+    executed: set[TestInput] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.executed = {r.input for r in self.records}
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def inputs(self) -> set[TestInput]:
-        return {r.input for r in self.records}
 
     def training_arrays(self, space: InputSpace) -> Dataset:
         """(normalized inputs (n, 6), measured fitness (n, 1)) for training."""
@@ -121,50 +130,94 @@ class SuiteStats:
     fitness_series: list[float]
 
 
-# called on each post-warmup acceptance: (record, target, prediction)
-TraceHook = Callable[[TestRecord, float, float], None]
+class _Searcher(NamedTuple):
+    """What a learning algorithm plugs into the shared acceptance loop.
 
+    propose(suite, stalled) returns candidate inputs (stalled is true
+    past the stall guard); predict(candidates) returns one predicted
+    fitness per candidate; retrain(suite) updates the model in place.
+    """
 
-def _check_budget(space: InputSpace, cfg: AlgorithmConfig) -> None:
-    if cfg.budget > cardinality(space):
-        raise ValueError(
-            f"budget {cfg.budget} exceeds space cardinality {cardinality(space)}"
-        )
+    propose: Callable[[TestSuite, bool], list[TestInput]]
+    predict: Callable[[list[TestInput]], np.ndarray]
+    retrain: Callable[[TestSuite], None]
 
 
 def _execute(
     space: InputSpace,
     sut: SutInterface,
     spec: FitnessSpec,
+    suite: TestSuite,
     test_input: TestInput,
-    test_index: int,
     inner_iterations: int,
     candidate_trials: int,
-) -> TestRecord:
+    threshold: float | None = None,
+    prediction: float | None = None,
+) -> None:
+    """Measure one input and append its record to the suite."""
     power = sut.measure(space, test_input)
-    return TestRecord(
-        input=test_input,
-        power=power,
-        fitness=fitness(spec, power),
-        inner_iterations=inner_iterations,
-        candidate_trials=candidate_trials,
-        test_index=test_index,
+    try:
+        fit = fitness(spec, power)
+    except ValueError as exc:
+        raise ValueError(f"input {test_input}: {exc}") from exc
+    suite.records.append(
+        TestRecord(test_input, power, fit, inner_iterations, candidate_trials,
+                   len(suite), threshold, prediction)
     )
+    suite.executed.add(test_input)
 
 
-def _run_warmup(
+def _search(
     space: InputSpace,
     sut: SutInterface,
     spec: FitnessSpec,
-    n: int,
-    rng: np.random.Generator,
-    suite: TestSuite,
-) -> None:
-    executed = suite.inputs()
-    for _ in range(n):
-        (t,) = sample_uniform(space, executed, 1, rng)
-        executed.add(t)
-        suite.records.append(_execute(space, sut, spec, t, len(suite), 1, 1))
+    cfg: AlgorithmConfig,
+    seed: int,
+    searcher: _Searcher | None,
+) -> TestSuite:
+    """Warm-up, then (with a searcher) the acceptance loop to the budget.
+
+    Without a searcher the warm-up alone fills the budget.  With one,
+    the model trains once on a nonempty warm-up.  Each pass multiplies
+    the threshold by treducer, or sets it to exactly 0 past
+    fallback_after passes; every proposed candidate costs a trial,
+    already-executed ones are dropped, and the best prediction among
+    the rest must reach the threshold.  The model retrains after every
+    executed test.
+    """
+    if cfg.budget > cardinality(space):
+        raise ValueError(
+            f"budget {cfg.budget} exceeds space cardinality {cardinality(space)}"
+        )
+    suite = TestSuite()
+    rng = stream_rng(seed, "warmup-sampling")
+    for _ in range(cfg.warmup if searcher is not None else cfg.budget):
+        (t,) = sample_uniform(space, suite.executed, 1, rng)
+        _execute(space, sut, spec, suite, t, 1, 1)
+    if searcher is None:
+        return suite
+    if len(suite) > 0:
+        searcher.retrain(suite)
+    while len(suite) < cfg.budget:
+        target = 1.0
+        passes = trials = 0
+        while True:
+            passes += 1
+            stalled = passes > cfg.fallback_after
+            target = 0.0 if stalled else target * cfg.treducer
+            proposed = searcher.propose(suite, stalled)
+            trials += len(proposed)
+            candidates = [t for t in proposed if t not in suite.executed]
+            if not candidates:
+                continue
+            predictions = searcher.predict(candidates)
+            best = int(np.argmax(predictions))
+            if predictions[best] >= target:
+                break
+        _execute(space, sut, spec, suite, candidates[best], passes, trials,
+                 target, float(predictions[best]))
+        searcher.retrain(suite)
+    return suite
 
 
 def run_random(
@@ -175,10 +228,7 @@ def run_random(
     seed: int,
 ) -> TestSuite:
     """Uniform sampling without replacement until the budget is spent."""
-    _check_budget(space, cfg)
-    suite = TestSuite()
-    _run_warmup(space, sut, spec, cfg.budget, stream_rng(seed, "warmup-sampling"), suite)
-    return suite
+    return _search(space, sut, spec, cfg, seed, None)
 
 
 def run_dn(
@@ -187,53 +237,34 @@ def run_dn(
     spec: FitnessSpec,
     cfg: AlgorithmConfig,
     seed: int,
-    trace_hook: TraceHook | None = None,
 ) -> TestSuite:
-    """Surrogate-filtered uniform sampling (batched argmax proposals)."""
-    _check_budget(space, cfg)
+    """Surrogate-filtered uniform sampling (batched argmax proposals).
+
+    Every pass proposes a fresh uniform batch of unexecuted inputs
+    (smaller near exhaustion); the surrogate is a discriminator-shaped
+    network trained on the executed suite.
+    """
     rng_sample = stream_rng(seed, "dn-sampling")
     rng_train = stream_rng(seed, "gan-train")
-
-    suite = TestSuite()
-    _run_warmup(space, sut, spec, cfg.warmup, stream_rng(seed, "warmup-sampling"), suite)
-
     disc = init_network(DISCRIMINATOR_TOPOLOGY, stream_rng(seed, "net-init"))
     opt = RmspropState.for_network(disc)
+    total = cardinality(space)
 
-    def retrain() -> None:
+    def propose(suite: TestSuite, stalled: bool) -> list[TestInput]:
+        batch = min(cfg.batchsize, total - len(suite))
+        return sample_uniform(space, suite.executed, batch, rng_sample)
+
+    def predict(candidates: list[TestInput]) -> np.ndarray:
+        return forward(disc, normalize_batch(space, candidates))[:, 0]
+
+    def retrain(suite: TestSuite) -> None:
         nonlocal disc, opt
-        if len(suite) == 0:
-            return
         disc, opt, _ = train_epochs(
             disc, suite.training_arrays(space), opt,
             cfg.gan.disc_epochs, cfg.gan.minibatch, rng_train,
         )
 
-    retrain()
-    executed = suite.inputs()
-    total = cardinality(space)
-    while len(suite) < cfg.budget:
-        target = 1.0
-        iterations = 0
-        trials = 0
-        while True:
-            iterations += 1
-            target = target * cfg.treducer if iterations <= cfg.fallback_after else 0.0
-            batch = min(cfg.batchsize, total - len(executed))
-            candidates = sample_uniform(space, executed, batch, rng_sample)
-            trials += batch
-            predictions = forward(disc, normalize_batch(space, candidates))[:, 0]
-            best = int(np.argmax(predictions))
-            if predictions[best] >= target:
-                break
-        chosen = candidates[best]
-        executed.add(chosen)
-        record = _execute(space, sut, spec, chosen, len(suite), iterations, trials)
-        suite.records.append(record)
-        if trace_hook is not None:
-            trace_hook(record, target, float(predictions[best]))
-        retrain()
-    return suite
+    return _search(space, sut, spec, cfg, seed, _Searcher(propose, predict, retrain))
 
 
 def run_ogan(
@@ -242,61 +273,36 @@ def run_ogan(
     spec: FitnessSpec,
     cfg: AlgorithmConfig,
     seed: int,
-    trace_hook: TraceHook | None = None,
 ) -> TestSuite:
     """Generator-proposed candidates filtered by the online surrogate.
 
-    One candidate per inner pass: the generator's output is snapped onto
-    the grid; an already-executed input burns the pass (and decays the
-    acceptance threshold), otherwise the surrogate's prediction must
-    clear the current threshold.  After fallback_after fruitless passes
-    the threshold drops to zero and candidates come from uniform
-    sampling instead of the generator.  Both networks retrain after
-    every executed test.
+    One candidate per pass: the generator's output snapped onto the
+    grid, so a snap onto an executed input costs a pass and a trial
+    without reaching the surrogate.  Past the stall guard the candidate
+    is a uniform draw among unexecuted inputs instead.  Generator and
+    surrogate retrain after every executed test.
     """
-    _check_budget(space, cfg)
     rng_latent = stream_rng(seed, "gan-latent")
     rng_train = stream_rng(seed, "gan-train")
     rng_fallback = stream_rng(seed, "fallback-sampling")
-
-    suite = TestSuite()
-    _run_warmup(space, sut, spec, cfg.warmup, stream_rng(seed, "warmup-sampling"), suite)
-
     gan = init_gan(cfg.gan, stream_rng(seed, "net-init"))
-    if len(suite) > 0:
+
+    def propose(suite: TestSuite, stalled: bool) -> list[TestInput]:
+        if stalled:
+            return sample_uniform(space, suite.executed, 1, rng_fallback)
+        return [snap(space, sample_candidates(gan, 1, rng_latent)[0])]
+
+    def predict(candidates: list[TestInput]) -> np.ndarray:
+        return predict_fitness(gan, normalize_batch(space, candidates))
+
+    def retrain(suite: TestSuite) -> None:
+        nonlocal gan
         gan = train_gan(gan, suite.training_arrays(space), cfg.gan, rng_train)
 
-    executed = suite.inputs()
-    while len(suite) < cfg.budget:
-        target = 1.0
-        iterations = 0
-        while True:
-            iterations += 1
-            if iterations <= cfg.fallback_after:
-                target *= cfg.treducer
-                vector = sample_candidates(gan, 1, rng_latent)[0]
-                candidate = snap(space, vector)
-            else:
-                target = 0.0
-                (candidate,) = sample_uniform(space, executed, 1, rng_fallback)
-            if candidate in executed:
-                continue
-            vectors = normalize_batch(space, [candidate])
-            prediction = float(predict_fitness(gan, vectors)[0])
-            if prediction >= target:
-                break
-        executed.add(candidate)
-        record = _execute(
-            space, sut, spec, candidate, len(suite), iterations, iterations
-        )
-        suite.records.append(record)
-        if trace_hook is not None:
-            trace_hook(record, target, prediction)
-        gan = train_gan(gan, suite.training_arrays(space), cfg.gan, rng_train)
-    return suite
+    return _search(space, sut, spec, cfg, seed, _Searcher(propose, predict, retrain))
 
 
-def suite_stats(suite: TestSuite, spec: FitnessSpec) -> SuiteStats:
+def suite_stats(suite: TestSuite) -> SuiteStats:
     """Positive-test count, mean fitness (None when empty), fitness series."""
     series = [r.fitness for r in suite.records]
     positives = sum(1 for f in series if f == 1.0)

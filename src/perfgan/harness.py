@@ -24,7 +24,7 @@ import csv
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -37,6 +37,7 @@ from .generators import (
     run_dn,
     run_ogan,
     run_random,
+    suite_stats,
 )
 from .rng import derive_run_seed
 from .space import Dimension, InputSpace, cardinality
@@ -339,10 +340,10 @@ def run_experiment(
             start = time.perf_counter()
             suite = runner(cfg.space, cfg.sut, cfg.fitness, variant.config, seed)
             duration = time.perf_counter() - start
-            positives = sum(1 for r in suite.records if r.fitness == 1.0)
             log.info(
                 "%s run %d/%d: %d positives in %.2fs",
-                variant.label, i + 1, cfg.runs, positives, duration,
+                variant.label, i + 1, cfg.runs, suite_stats(suite).positive_count,
+                duration,
             )
             results.append(
                 RunResult(algorithm=variant.label, seed=seed, suite=suite,
@@ -361,9 +362,7 @@ def summarize(cfg: ExperimentConfig, results: list[RunResult]) -> Summary:
     algo_summaries = []
     for variant in cfg.algorithms:
         suites = [r.suite for r in results if r.algorithm == variant.label]
-        positives = [
-            sum(1 for rec in s.records if rec.fitness == 1.0) for s in suites
-        ]
+        positives = [suite_stats(s).positive_count for s in suites]
         all_fitness = [rec.fitness for s in suites for rec in s.records]
         post = [
             rec
@@ -408,35 +407,17 @@ def summarize(cfg: ExperimentConfig, results: list[RunResult]) -> Summary:
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
     # output_dir and wall-clock data stay out: two invocations with the
-    # same master seed must produce byte-identical files
+    # same master seed must produce byte-identical files.  Levels are
+    # listed because asdict keeps tuples, and the echo must equal its
+    # own JSON round trip.
     return {
         "space": [
             {"name": d.name, "levels": list(d.levels)} for d in cfg.space.dims
         ],
-        "sut": {
-            "p_idle": cfg.sut.p_idle,
-            "kappa_big": cfg.sut.kappa_big,
-            "kappa_little": cfg.sut.kappa_little,
-            "gain": cfg.sut.gain,
-            "target_density": cfg.target_density,
-        },
-        "fitness": {"p_m": cfg.fitness.p_m},
+        "sut": {**asdict(cfg.sut), "target_density": cfg.target_density},
+        "fitness": asdict(cfg.fitness),
         "algorithms": [
-            {
-                "label": v.label,
-                "kind": v.kind,
-                "budget": v.config.budget,
-                "warmup": v.config.warmup,
-                "treducer": v.config.treducer,
-                "batchsize": v.config.batchsize,
-                "fallback_after": v.config.fallback_after,
-                "gan": {
-                    "disc_epochs": v.config.gan.disc_epochs,
-                    "gen_epochs": v.config.gan.gen_epochs,
-                    "minibatch": v.config.gan.minibatch,
-                    "gen_samples_per_round": v.config.gan.gen_samples_per_round,
-                },
-            }
+            {"label": v.label, "kind": v.kind, **asdict(v.config)}
             for v in cfg.algorithms
         ],
         "runs": cfg.runs,

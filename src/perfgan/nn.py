@@ -92,28 +92,22 @@ class Gradients:
     input_grad: np.ndarray
 
 
+# RMSprop step hyperparameters
+RMSPROP_LEARNING_RATE = 0.001
+RMSPROP_RHO = 0.9
+RMSPROP_EPSILON = 1e-8
+
+
 @dataclass
 class RmspropState:
-    """Per-parameter squared-gradient cache and the step hyperparameters."""
+    """Per-parameter squared-gradient cache of the RMSprop optimizer."""
 
-    learning_rate: float = 0.001
-    rho: float = 0.9
-    epsilon: float = 1e-8
     weight_cache: list[np.ndarray] = field(default_factory=list)
     bias_cache: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def for_network(
-        cls,
-        state: NetworkState,
-        learning_rate: float = 0.001,
-        rho: float = 0.9,
-        epsilon: float = 1e-8,
-    ) -> "RmspropState":
+    def for_network(cls, state: NetworkState) -> "RmspropState":
         return cls(
-            learning_rate=learning_rate,
-            rho=rho,
-            epsilon=epsilon,
             weight_cache=[np.zeros_like(w) for w in state.weights],
             bias_cache=[np.zeros_like(b) for b in state.biases],
         )
@@ -238,17 +232,18 @@ def rmsprop_step(
     Per parameter: cache <- rho*cache + (1-rho)*g^2,
     param <- param - lr*g/(sqrt(cache) + epsilon).
     """
+    lr, rho, eps = RMSPROP_LEARNING_RATE, RMSPROP_RHO, RMSPROP_EPSILON
     new_weights = []
     new_w_cache = []
     for w, g, c in zip(state.weights, grads.weight_grads, opt.weight_cache):
-        c2 = opt.rho * c + (1.0 - opt.rho) * g * g
-        new_weights.append(w - opt.learning_rate * g / (np.sqrt(c2) + opt.epsilon))
+        c2 = rho * c + (1.0 - rho) * g * g
+        new_weights.append(w - lr * g / (np.sqrt(c2) + eps))
         new_w_cache.append(c2)
     new_biases = []
     new_b_cache = []
     for b, g, c in zip(state.biases, grads.bias_grads, opt.bias_cache):
-        c2 = opt.rho * c + (1.0 - opt.rho) * g * g
-        new_biases.append(b - opt.learning_rate * g / (np.sqrt(c2) + opt.epsilon))
+        c2 = rho * c + (1.0 - rho) * g * g
+        new_biases.append(b - lr * g / (np.sqrt(c2) + eps))
         new_b_cache.append(c2)
     return (
         NetworkState(topology=state.topology, weights=new_weights, biases=new_biases),

@@ -179,13 +179,13 @@ def sample_uniform(
 ) -> list[TestInput]:
     """Draw k distinct inputs uniformly, without replacement, outside `exclude`.
 
-    Raises ValueError when fewer than k inputs remain.
+    `exclude` must hold inputs of this space.  Raises ValueError when
+    fewer than k inputs remain.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     total = cardinality(space)
-    excluded_ranks = {rank(space, t) for t in exclude}
-    available = total - len(excluded_ranks)
+    available = total - len(exclude)
     if k > available:
         raise ValueError(
             f"cannot sample {k} inputs: only {available} of {total} remain"
@@ -196,25 +196,30 @@ def sample_uniform(
     if k > available // 4:
         # dense request: materialize the remaining pool and choose exactly
         pool = np.arange(total, dtype=np.int64)
-        if excluded_ranks:
+        if exclude:
             mask = np.ones(total, dtype=bool)
-            mask[np.fromiter(excluded_ranks, dtype=np.int64)] = False
+            mask[[rank(space, t) for t in exclude]] = False
             pool = pool[mask]
         chosen = rng.choice(pool, size=k, replace=False)
         return [unrank(space, int(r)) for r in chosen]
 
-    # sparse request: batched rejection sampling stays exactly uniform
-    seen = set(excluded_ranks)
-    chosen_ranks: list[int] = []
-    while len(chosen_ranks) < k:
-        need = k - len(chosen_ranks)
+    # sparse request: batched rejection sampling stays exactly uniform;
+    # a draw is checked against this call's picks by rank, then against
+    # `exclude` as an input, so `exclude` is never ranked
+    picked: set[int] = set()
+    chosen: list[TestInput] = []
+    while len(chosen) < k:
+        need = k - len(chosen)
         draw = rng.integers(0, total, size=need + max(16, need // 4))
         for r in draw:
             r = int(r)
-            if r in seen:
+            if r in picked:
                 continue
-            seen.add(r)
-            chosen_ranks.append(r)
-            if len(chosen_ranks) == k:
+            t = unrank(space, r)
+            if t in exclude:
+                continue
+            picked.add(r)
+            chosen.append(t)
+            if len(chosen) == k:
                 break
-    return [unrank(space, r) for r in chosen_ranks]
+    return chosen

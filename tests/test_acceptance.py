@@ -212,13 +212,10 @@ def test_criterion_5_algorithm_invariants():
         )
         seed = 1234
 
-        traces = {"dn": [], "ogan": []}
         suites = {
             "random": run_random(space, sut, spec, cfg, seed),
-            "dn": run_dn(space, sut, spec, cfg, seed,
-                         trace_hook=lambda *a: traces["dn"].append(a)),
-            "ogan": run_ogan(space, sut, spec, cfg, seed,
-                             trace_hook=lambda *a: traces["ogan"].append(a)),
+            "dn": run_dn(space, sut, spec, cfg, seed),
+            "ogan": run_ogan(space, sut, spec, cfg, seed),
         }
 
         # suite size equals budget; inputs pairwise distinct and in-space
@@ -231,11 +228,14 @@ def test_criterion_5_algorithm_invariants():
 
         # after k rejections the acceptance threshold equals treducer^k
         # (floored to 0 past the stall guard, where treducer^k < 1e-22)
-        for trace in traces.values():
-            assert trace
-            for record, target, prediction in trace:
-                assert prediction >= target
-                assert abs(target - cfg.treducer ** record.inner_iterations) <= 1e-12
+        for kind in ("dn", "ogan"):
+            accepted = suites[kind].records[cfg.warmup:]
+            assert accepted
+            for record in accepted:
+                assert record.prediction >= record.threshold
+                assert abs(
+                    record.threshold - cfg.treducer ** record.inner_iterations
+                ) <= 1e-12
 
         # phase isolation: the untrained phase is bit-identical
         gan = init_gan(GanHyperparams(), np.random.default_rng(5))

@@ -57,6 +57,18 @@ def assert_valid_suite(suite, cfg, space):
     assert [r.test_index for r in suite.records] == list(range(cfg.budget))
 
 
+def assert_acceptances_replay(suite, cfg):
+    """Searched tests record a threshold of treducer^passes, met by the
+    prediction; warm-up tests record neither."""
+    for r in suite.records[: cfg.warmup]:
+        assert r.threshold is None and r.prediction is None
+    accepted = suite.records[cfg.warmup:]
+    assert len(accepted) == cfg.budget - cfg.warmup
+    for record in accepted:
+        assert record.prediction >= record.threshold
+        assert abs(record.threshold - cfg.treducer ** record.inner_iterations) <= 1e-12
+
+
 class TestRunRandom:
     def test_zero_budget(self):
         suite = run_random(SPACE, SUT, SPEC, fast_cfg(budget=0, warmup=0), 1)
@@ -65,12 +77,13 @@ class TestRunRandom:
     def test_exhausts_whole_space(self):
         cfg = fast_cfg(budget=cardinality(SPACE), warmup=0)
         suite = run_random(SPACE, SUT, SPEC, cfg, 2)
-        assert suite.inputs() == set(enumerate_inputs(SPACE))
+        assert {r.input for r in suite.records} == set(enumerate_inputs(SPACE))
 
     def test_counters_all_one(self):
         suite = run_random(SPACE, SUT, SPEC, fast_cfg(), 3)
         assert all(r.inner_iterations == 1 for r in suite.records)
         assert all(r.candidate_trials == 1 for r in suite.records)
+        assert all(r.threshold is None and r.prediction is None for r in suite.records)
 
     def test_budget_above_cardinality_rejected(self):
         with pytest.raises(ValueError):
@@ -115,19 +128,15 @@ class TestRunDn:
         space = small_space(levels=2)
         cfg = fast_cfg(budget=64, warmup=10, batchsize=16, fallback_after=40)
         suite = run_dn(space, SUT, SPEC, cfg, 10)
-        assert suite.inputs() == set(enumerate_inputs(space))
+        assert {r.input for r in suite.records} == set(enumerate_inputs(space))
         for r in suite.records[cfg.warmup:]:
             batch = min(cfg.batchsize, 64 - r.test_index)
             assert r.candidate_trials == r.inner_iterations * batch
 
     def test_acceptance_replay(self):
-        trace = []
         cfg = fast_cfg()
-        run_dn(SPACE, SUT, SPEC, cfg, 11, trace_hook=lambda *a: trace.append(a))
-        assert len(trace) == cfg.budget - cfg.warmup
-        for record, target, prediction in trace:
-            assert prediction >= target
-            assert abs(target - cfg.treducer ** record.inner_iterations) <= 1e-12
+        suite = run_dn(SPACE, SUT, SPEC, cfg, 11)
+        assert_acceptances_replay(suite, cfg)
 
     def test_deterministic(self):
         a = run_dn(SPACE, SUT, SPEC, fast_cfg(), 12)
@@ -169,13 +178,9 @@ class TestRunOgan:
             assert r.candidate_trials == 1
 
     def test_acceptance_replay(self):
-        trace = []
         cfg = fast_cfg()
-        run_ogan(SPACE, SUT, SPEC, cfg, 17, trace_hook=lambda *a: trace.append(a))
-        assert len(trace) == cfg.budget - cfg.warmup
-        for record, target, prediction in trace:
-            assert prediction >= target
-            assert abs(target - cfg.treducer ** record.inner_iterations) <= 1e-12
+        suite = run_ogan(SPACE, SUT, SPEC, cfg, 17)
+        assert_acceptances_replay(suite, cfg)
 
     def test_budget_equals_warmup_never_samples_generator(self, monkeypatch):
         def boom(*args):
@@ -217,6 +222,31 @@ class TestRunOgan:
         assert [r.input for r in a.records] == [r.input for r in b.records]
 
 
+class TestBadMeasurement:
+    @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf, -1.0])
+    def test_error_names_the_input(self, power):
+        class BrokenSut:
+            def measure(self, space, test_input):
+                return power
+
+        with pytest.raises(ValueError, match=r"input \(\d+(, \d+){5}\)"):
+            run_random(SPACE, BrokenSut(), SPEC, fast_cfg(), 24)
+
+    def test_error_names_the_searched_input(self):
+        # the warm-up measures fine; the first searched test returns NaN
+        class NanAfterWarmup:
+            calls = 0
+
+            def measure(self, space, test_input):
+                self.calls += 1
+                if self.calls > 10:
+                    return np.nan
+                return SUT.measure(space, test_input)
+
+        with pytest.raises(ValueError, match=r"input \(.*\): power must be .*nan"):
+            run_dn(SPACE, NanAfterWarmup(), SPEC, fast_cfg(), 25)
+
+
 class TestWarmupSharing:
     def test_prefixes_identical_across_algorithms(self):
         cfg = fast_cfg()
@@ -242,7 +272,7 @@ class TestSuiteStats:
     def test_empty_suite(self):
         from perfgan.generators import TestSuite
 
-        stats = suite_stats(TestSuite(), SPEC)
+        stats = suite_stats(TestSuite())
         assert stats.positive_count == 0
         assert stats.mean_fitness is None
         assert stats.fitness_series == []
@@ -258,7 +288,7 @@ class TestSuiteStats:
                 for i, r in enumerate(suite.records)
             ]
         )
-        stats = suite_stats(fake, SPEC)
+        stats = suite_stats(fake)
         assert stats.positive_count == 5
         assert stats.mean_fitness == 1.0
 
@@ -271,7 +301,7 @@ class TestSuiteStats:
                 TestRecord((1, 0, 0, 0, 0, 0), 3.0, 0.5, 1, 1, 1),
             ]
         )
-        stats = suite_stats(fake, SPEC)
+        stats = suite_stats(fake)
         assert stats.positive_count == 1
         assert stats.mean_fitness == pytest.approx(0.75)
         assert stats.fitness_series == [1.0, 0.5]

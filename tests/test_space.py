@@ -249,3 +249,107 @@ class TestSampleUniform:
             (t,) = sample_uniform(s, seen, 1, rng)
             seen.add(t)
         assert seen == set(enumerate_inputs(s))
+
+
+def reference_sample_uniform(space, exclude, k, rng):
+    """The rank-set sampler that `sample_uniform` must match draw for draw.
+
+    Ranks the whole excluded set, then either chooses from the remaining
+    pool (dense) or rejection-samples ranks in batches (sparse).
+    """
+    total = cardinality(space)
+    excluded_ranks = {rank(space, t) for t in exclude}
+    available = total - len(excluded_ranks)
+    if k > available:
+        raise ValueError("too few inputs remain")
+    if k == 0:
+        return []
+    if k > available // 4:
+        pool = np.arange(total, dtype=np.int64)
+        if excluded_ranks:
+            mask = np.ones(total, dtype=bool)
+            mask[np.fromiter(excluded_ranks, dtype=np.int64)] = False
+            pool = pool[mask]
+        chosen = rng.choice(pool, size=k, replace=False)
+        return [unrank(space, int(r)) for r in chosen]
+    seen = set(excluded_ranks)
+    chosen_ranks = []
+    while len(chosen_ranks) < k:
+        need = k - len(chosen_ranks)
+        draw = rng.integers(0, total, size=need + max(16, need // 4))
+        for r in draw:
+            r = int(r)
+            if r in seen:
+                continue
+            seen.add(r)
+            chosen_ranks.append(r)
+            if len(chosen_ranks) == k:
+                break
+    return [unrank(space, r) for r in chosen_ranks]
+
+
+@st.composite
+def sampling_case(draw):
+    """(space, excluded inputs, k, seed) with k at most the remaining count."""
+    s = grid(*draw(st.lists(st.integers(1, 4), min_size=6, max_size=6)))
+    total = cardinality(s)
+    excluded = draw(st.sets(st.integers(0, total - 1), max_size=total))
+    k = draw(st.integers(0, total - len(excluded)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return s, {unrank(s, r) for r in excluded}, k, seed
+
+
+class TestRankAndSamplingProperties:
+    @given(level_counts, st.data())
+    def test_rank_unrank_bijection(self, counts, data):
+        s = grid(*counts)
+        r = data.draw(st.integers(0, cardinality(s) - 1))
+        t = unrank(s, r)
+        s.validate_input(t)
+        assert rank(s, t) == r
+        t2 = tuple(data.draw(st.integers(0, c - 1)) for c in counts)
+        assert unrank(s, rank(s, t2)) == t2
+        assert 0 <= rank(s, t2) < cardinality(s)
+
+    @given(sampling_case())
+    def test_never_excluded_or_duplicate(self, case):
+        s, exclude, k, seed = case
+        got = sample_uniform(s, exclude, k, np.random.default_rng(seed))
+        assert len(got) == k
+        assert len(set(got)) == k
+        assert not set(got) & exclude
+        for t in got:
+            s.validate_input(t)
+
+    @given(sampling_case())
+    def test_matches_reference_draw_for_draw(self, case):
+        s, exclude, k, seed = case
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample_uniform(s, exclude, k, rng) == reference_sample_uniform(
+            s, exclude, k, ref_rng
+        )
+        # both consumed the stream identically
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+    @given(sampling_case(), st.integers(1, 8))
+    def test_matches_reference_over_a_growing_exclusion(self, case, steps):
+        # the generators' pattern: repeated draws, each excluded afterwards
+        s, exclude, k, seed = case
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        exclude = set(exclude)
+        for _ in range(steps):
+            k = min(k, cardinality(s) - len(exclude))
+            got = sample_uniform(s, exclude, k, rng)
+            assert got == reference_sample_uniform(s, exclude, k, ref_rng)
+            exclude.update(got)
+
+    def test_both_paths_reached(self):
+        # the dense path starts above a quarter of the remaining pool
+        s = grid(4, 4, 4, 2, 2, 1)
+        exclude = {unrank(s, r) for r in range(0, 256, 3)}
+        available = cardinality(s) - len(exclude)
+        for k in (1, available // 4, available // 4 + 1, available):
+            rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+            assert sample_uniform(s, exclude, k, rng) == reference_sample_uniform(
+                s, exclude, k, ref_rng
+            )
