@@ -34,7 +34,7 @@ print(f"Cardinality: {cardinality(space):,} configurations\n")
 example = (4, 18, 9, 0, 0, 0)  # big cluster flat out, little cluster off
 vec = normalize_batch(space, [example])[0]
 print(f"encoding of {example} = {np.round(vec, 3)}")
-print(f"snap of a perturbed vector: {snap(space, vec + 0.04)}\n")
+print(f"snap of a perturbed vector: {snap(space, [vec + 0.04])[0]}\n")
 
 # Power rises with active CPUs, utilization, and the cube of the
 # frequency ratio; the threshold p_m = 6 W defines a positive test.

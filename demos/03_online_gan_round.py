@@ -44,12 +44,11 @@ print(f"discriminator MSE after training:  "
       f"{loss_mse(forward(gan.discriminator, inputs), targets):.4f}")
 
 # The generator is trained to make the frozen discriminator predict 1.
-probe = np.random.default_rng(9)
-before = predict_fitness(gan, sample_candidates(gan, 64, probe))
+probe = np.random.default_rng(9).uniform(-1.0, 1.0, size=(64, gan.latent_dim))
+before = predict_fitness(gan, sample_candidates(gan, probe))
 for round_ in range(5):
     gan = train_generator(gan, GanHyperparams(), np.random.default_rng(10 + round_))
-probe = np.random.default_rng(9)
-after = predict_fitness(gan, sample_candidates(gan, 64, probe))
+after = predict_fitness(gan, sample_candidates(gan, probe))
 print(f"\nmean predicted fitness of 64 fresh candidates: "
       f"{before.mean():.3f} -> {after.mean():.3f}")
 
@@ -59,10 +58,10 @@ print(f"\nmean predicted fitness of 64 fresh candidates: "
 # measured power).  The online loop corrects this by executing exactly
 # those candidates and retraining on the measurements -- see demo 04
 # for the closed loop.
-candidates = sample_candidates(gan, 8, np.random.default_rng(11))
+noise = np.random.default_rng(11).uniform(-1.0, 1.0, size=(8, gan.latent_dim))
+candidates = sample_candidates(gan, noise)
 print("\ngenerator candidates after training (predicted vs measured):")
-for vec in candidates:
-    t = snap(space, vec)
+for vec, t in zip(candidates, snap(space, candidates)):
     predicted = predict_fitness(gan, vec[None, :])[0]
     print(f"  {t}  predicted {predicted:4.2f}  ->  "
           f"{sut.measure(space, t):5.2f} W")

@@ -91,13 +91,13 @@ def init_gan(hp: GanHyperparams, rng: np.random.Generator) -> GanModel:
     )
 
 
-def sample_candidates(
-    gan: GanModel, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """k generator outputs from fresh uniform noise; shape (k, 6) in (-1, 1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    noise = rng.uniform(-1.0, 1.0, size=(k, gan.latent_dim))
+def sample_candidates(gan: GanModel, noise: np.ndarray) -> np.ndarray:
+    """Generator outputs for the given noise rows; shape (k, 6) in (-1, 1).
+
+    `noise` is (k, latent_dim), drawn by the caller as
+    rng.uniform(-1, 1, size=(k, LATENT_DIM)); a block of k rows equals k
+    one-row draws from the same stream, so callers may batch freely.
+    """
     return forward(gan.generator, noise)
 
 

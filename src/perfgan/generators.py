@@ -50,6 +50,10 @@ from .space import (
 )
 from .sut import FitnessSpec, SutInterface, fitness
 
+# ogan passes whose candidates one batched generator forward computes;
+# per-row forward cost bottoms out near 64 rows
+PROPOSAL_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class TestRecord:
@@ -178,12 +182,12 @@ def _search(
     """Warm-up, then (with a searcher) the acceptance loop to the budget.
 
     Without a searcher the warm-up alone fills the budget.  With one,
-    the model trains once on a nonempty warm-up.  Each pass multiplies
-    the threshold by treducer, or sets it to exactly 0 past
-    fallback_after passes; every proposed candidate costs a trial,
-    already-executed ones are dropped, and the best prediction among
-    the rest must reach the threshold.  The model retrains after every
-    executed test.
+    the model trains once on a nonempty warm-up that leaves budget to
+    search.  Each pass multiplies the threshold by treducer, or sets it
+    to exactly 0 past fallback_after passes; every proposed candidate
+    costs a trial, already-executed ones are dropped, and the best
+    prediction among the rest must reach the threshold.  The model
+    retrains after every executed test.
     """
     if cfg.budget > cardinality(space):
         raise ValueError(
@@ -196,7 +200,7 @@ def _search(
         _execute(space, sut, spec, suite, t, 1, 1)
     if searcher is None:
         return suite
-    if len(suite) > 0:
+    if 0 < len(suite) < cfg.budget:
         searcher.retrain(suite)
     while len(suite) < cfg.budget:
         target = 1.0
@@ -281,23 +285,44 @@ def run_ogan(
     without reaching the surrogate.  Past the stall guard the candidate
     is a uniform draw among unexecuted inputs instead.  Generator and
     surrogate retrain after every executed test.
+
+    The generator is frozen between retrains, so candidates are computed
+    PROPOSAL_BLOCK passes at a time: one generator forward and one snap
+    over a block of gan-latent rows, handed out one per pass.  A retrain
+    drops the block's unused candidates but keeps their noise rows for
+    the next block, so every pass sees the same noise row, and the run
+    the same candidates, as with one forward per pass.
     """
     rng_latent = stream_rng(seed, "gan-latent")
     rng_train = stream_rng(seed, "gan-train")
     rng_fallback = stream_rng(seed, "fallback-sampling")
     gan = init_gan(cfg.gan, stream_rng(seed, "net-init"))
+    # noise holds the gan-latent rows no pass has used yet, in draw order;
+    # block holds the current generator's snapped candidates for its
+    # leading rows (empty after a retrain, which keeps the noise)
+    noise = np.empty((0, gan.latent_dim))
+    block: list[TestInput] = []
 
     def propose(suite: TestSuite, stalled: bool) -> list[TestInput]:
+        nonlocal noise, block
         if stalled:
             return sample_uniform(space, suite.executed, 1, rng_fallback)
-        return [snap(space, sample_candidates(gan, 1, rng_latent)[0])]
+        if not block:
+            fresh = rng_latent.uniform(
+                -1.0, 1.0, size=(PROPOSAL_BLOCK - len(noise), gan.latent_dim)
+            )
+            noise = np.concatenate([noise, fresh])
+            block = snap(space, sample_candidates(gan, noise))
+        noise = noise[1:]
+        return [block.pop(0)]
 
     def predict(candidates: list[TestInput]) -> np.ndarray:
         return predict_fitness(gan, normalize_batch(space, candidates))
 
     def retrain(suite: TestSuite) -> None:
-        nonlocal gan
+        nonlocal gan, block
         gan = train_gan(gan, suite.training_arrays(space), cfg.gan, rng_train)
+        block = []
 
     return _search(space, sut, spec, cfg, seed, _Searcher(propose, predict, retrain))
 

@@ -129,24 +129,23 @@ def normalize_batch(space: InputSpace, inputs: Iterable[TestInput]) -> np.ndarra
     return out
 
 
-def snap(space: InputSpace, vector: np.ndarray) -> TestInput:
-    """Map a continuous vector in [-1, 1]^6 to the nearest grid input.
+def snap(space: InputSpace, vectors: np.ndarray) -> list[TestInput]:
+    """Map rows of continuous vectors (k, 6) to their nearest grid inputs.
 
-    Exact midpoints between two grid levels resolve to the lower index.
+    Component j of a row becomes ceil(x - 0.5) with
+    x = (v + 1) * (L - 1) / 2 for an L-level dimension, clipped to
+    [0, L - 1]: the nearest level, exact midpoints resolving to the lower
+    index; a single-level dimension snaps to 0.  Raises ValueError on a
+    row that is not six wide or on a non-finite component.
     """
-    vec = np.asarray(vector, dtype=np.float64).reshape(-1)
-    if vec.shape[0] != NUM_DIMENSIONS:
-        raise ValueError(f"vector must have {NUM_DIMENSIONS} components")
-    indices = []
-    for j, count in enumerate(space.level_counts):
-        if count == 1:
-            indices.append(0)
-            continue
-        x = (vec[j] + 1.0) * (count - 1) / 2.0
-        # nearest integer with exact .5 ties resolving downward
-        idx = int(math.ceil(x - 0.5))
-        indices.append(min(max(idx, 0), count - 1))
-    return tuple(indices)
+    vec = np.asarray(vectors, dtype=np.float64)
+    if vec.ndim != 2 or vec.shape[1] != NUM_DIMENSIONS:
+        raise ValueError(f"vectors must be (k, {NUM_DIMENSIONS}), got {vec.shape}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("vectors must be finite")
+    top = np.asarray(space.level_counts, dtype=np.float64) - 1.0
+    idx = np.clip(np.ceil((vec + 1.0) * top / 2.0 - 0.5), 0.0, top)
+    return [tuple(row) for row in idx.astype(np.int64).tolist()]
 
 
 def rank(space: InputSpace, test_input: TestInput) -> int:

@@ -16,6 +16,7 @@ calibrated so positives make up a requested fraction of the space.
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 from dataclasses import dataclass, replace
 from typing import Protocol
@@ -162,9 +163,10 @@ class ShellSut:
 
     The command template may reference `{name}` placeholders for each
     dimension; the same values are also exported as environment
-    variables named after the dimensions (uppercased).  The last line of
-    stdout is parsed as the power in watts.  Executions are sequential;
-    a measurement is assumed expensive and stateless.
+    variables named after the dimensions (uppercased), on top of the
+    caller's environment (a dimension variable wins a name clash).  The
+    last line of stdout is parsed as the power in watts.  Executions are
+    sequential; a measurement is assumed expensive and stateless.
     """
 
     command: str
@@ -172,7 +174,8 @@ class ShellSut:
     def measure(self, space: InputSpace, test_input: TestInput) -> float:
         values = space.physical_values(test_input)
         named = {dim.name: value for dim, value in zip(space.dims, values)}
-        env = {name.upper(): repr(value) for name, value in named.items()}
+        env = dict(os.environ)
+        env.update((name.upper(), repr(value)) for name, value in named.items())
         rendered = self.command.format(**named)
         proc = subprocess.run(
             rendered,

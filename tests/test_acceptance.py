@@ -17,6 +17,7 @@ import pytest
 
 from perfgan.cli import main
 from perfgan.gan import (
+    LATENT_DIM,
     GanHyperparams,
     init_gan,
     predict_fitness,
@@ -270,7 +271,7 @@ def test_criterion_5_algorithm_invariants():
             )
         )
         for t in enumerate_inputs(tiny):
-            assert snap(tiny, normalize_batch(tiny, [t])[0]) == t
+            assert snap(tiny, normalize_batch(tiny, [t]))[0] == t
 
         assert time.perf_counter() - start < 60.0
 
@@ -291,14 +292,11 @@ def test_criterion_6_learning_signal():
         mse_after = loss_mse(forward(trained.discriminator, inputs), targets)
         assert mse_after < mse_before, f"{mse_after} !< {mse_before}"
 
-        probe = np.random.default_rng(779)
-        before = predict_fitness(trained, sample_candidates(trained, 64, probe)).mean()
+        noise = np.random.default_rng(779).uniform(-1.0, 1.0, size=(64, LATENT_DIM))
+        before = predict_fitness(trained, sample_candidates(trained, noise)).mean()
         after_gen = train_generator(trained, GanHyperparams(),
                                     np.random.default_rng(780))
-        probe = np.random.default_rng(779)
-        after = predict_fitness(
-            after_gen, sample_candidates(after_gen, 64, probe)
-        ).mean()
+        after = predict_fitness(after_gen, sample_candidates(after_gen, noise)).mean()
         assert after >= before, f"{after} < {before}"
 
 

@@ -8,6 +8,7 @@ import perfgan.nn
 from perfgan.gan import (
     DISCRIMINATOR_TOPOLOGY,
     GENERATOR_TOPOLOGY,
+    LATENT_DIM,
     GanHyperparams,
     GanModel,
     init_gan,
@@ -34,6 +35,10 @@ def toy_suite(n=8, seed=1):
     rng = np.random.default_rng(seed)
     rows = [(rng.uniform(-1, 1, size=6), rng.uniform(0, 1)) for _ in range(n)]
     return np.array([v for v, _ in rows]), np.array([[f] for _, f in rows])
+
+
+def noise(k, rng):
+    return rng.uniform(-1.0, 1.0, size=(k, LATENT_DIM))
 
 
 def constant_suite(vec, fitness, n):
@@ -78,7 +83,7 @@ class TestInit:
 class TestSampling:
     def test_shape_and_open_range(self):
         gan = fresh_gan(1)
-        out = sample_candidates(gan, 5, np.random.default_rng(0))
+        out = sample_candidates(gan, noise(5, np.random.default_rng(0)))
         assert out.shape == (5, 6)
         assert np.all(out > -1.0) and np.all(out < 1.0)
 
@@ -86,13 +91,13 @@ class TestSampling:
         gan = fresh_gan(2)
         for w in gan.generator.weights:
             w[:] = 0.0
-        out = sample_candidates(gan, 3, np.random.default_rng(0))
+        out = sample_candidates(gan, noise(3, np.random.default_rng(0)))
         assert np.array_equal(out, np.zeros((3, 6)))
 
     def test_deterministic(self):
         gan = fresh_gan(4)
-        a = sample_candidates(gan, 4, np.random.default_rng(7))
-        b = sample_candidates(gan, 4, np.random.default_rng(7))
+        a = sample_candidates(gan, noise(4, np.random.default_rng(7)))
+        b = sample_candidates(gan, noise(4, np.random.default_rng(7)))
         assert np.array_equal(a, b)
 
 
@@ -172,11 +177,10 @@ class TestTrainGenerator:
         gan = fresh_gan(13)
         gan = train_discriminator(gan, toy_suite(32, seed=5), GanHyperparams(),
                                   np.random.default_rng(5))
-        probe = np.random.default_rng(6)
-        before = predict_fitness(gan, sample_candidates(gan, 64, probe)).mean()
+        probe = noise(64, np.random.default_rng(6))
+        before = predict_fitness(gan, sample_candidates(gan, probe)).mean()
         trained = train_generator(gan, GanHyperparams(), np.random.default_rng(7))
-        probe = np.random.default_rng(6)
-        after = predict_fitness(trained, sample_candidates(trained, 64, probe)).mean()
+        after = predict_fitness(trained, sample_candidates(trained, probe)).mean()
         assert after >= before
 
     def test_one_trace_per_network_per_step(self, monkeypatch):

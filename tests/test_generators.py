@@ -148,9 +148,10 @@ class TestRunDn:
 
     def test_budget_equals_warmup_never_queries_model(self, monkeypatch):
         def boom(*args):
-            raise AssertionError("surrogate queried")
+            raise AssertionError("surrogate queried or trained")
 
         monkeypatch.setattr(generators, "forward", boom)
+        monkeypatch.setattr(generators, "train_epochs", boom)
         cfg = fast_cfg(budget=10, warmup=10)
         suite = run_dn(SPACE, SUT, SPEC, cfg, 13)
         assert len(suite) == 10
@@ -184,9 +185,10 @@ class TestRunOgan:
 
     def test_budget_equals_warmup_never_samples_generator(self, monkeypatch):
         def boom(*args):
-            raise AssertionError("generator sampled")
+            raise AssertionError("generator sampled or trained")
 
         monkeypatch.setattr(generators, "sample_candidates", boom)
+        monkeypatch.setattr(generators, "train_gan", boom)
         cfg = fast_cfg(budget=10, warmup=10)
         suite = run_ogan(SPACE, SUT, SPEC, cfg, 18)
         assert len(suite) == 10
@@ -196,9 +198,8 @@ class TestRunOgan:
         # forever; the uniform fallback must still complete the budget
         first = {}
 
-        def collapsed(gan, k, rng):
-            rng.uniform(-1.0, 1.0, size=(k, gan.latent_dim))
-            return np.tile(first["vec"], (k, 1))
+        def collapsed(gan, noise):
+            return np.tile(first["vec"], (len(noise), 1))
 
         cfg = fast_cfg(budget=14, warmup=10, fallback_after=25)
         from perfgan.space import normalize_batch
@@ -215,6 +216,17 @@ class TestRunOgan:
         for r in suite.records[10:]:
             assert r.input != real_run.records[0].input
             assert r.inner_iterations == 26
+
+    def test_block_size_does_not_change_run(self, monkeypatch):
+        # the stall guard fires mid-block and every test retrains, so this
+        # pins the noise rows carried across retrains and across the stall
+        cfg = fast_cfg(fallback_after=25)
+        reference = run_ogan(SPACE, SUT, SPEC, cfg, 30).records
+        assert sum(r.inner_iterations > 25 for r in reference) >= 2
+        assert sum(r.inner_iterations <= 25 for r in reference[cfg.warmup:]) >= 2
+        for block in (1, 7):
+            monkeypatch.setattr(generators, "PROPOSAL_BLOCK", block)
+            assert run_ogan(SPACE, SUT, SPEC, cfg, 30).records == reference
 
     def test_deterministic(self):
         a = run_ogan(SPACE, SUT, SPEC, fast_cfg(), 20)

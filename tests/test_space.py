@@ -137,7 +137,7 @@ class TestNormalizeProperties:
     @given(space_and_input())
     def test_snap_inverts_encoding(self, case):
         s, t = case
-        assert snap(s, normalize_batch(s, [t])[0]) == t
+        assert snap(s, normalize_batch(s, [t]))[0] == t
 
     @given(space_and_bad_input())
     def test_out_of_range_index_raises(self, case):
@@ -146,29 +146,70 @@ class TestNormalizeProperties:
             normalize_batch(s, batch)
 
 
+def scalar_snap(space, vector):
+    """The one-vector snap the batch version replaced, kept as a reference."""
+    indices = []
+    for v, count in zip(np.asarray(vector, dtype=np.float64), space.level_counts):
+        if count == 1:
+            indices.append(0)
+            continue
+        x = (v + 1.0) * (count - 1) / 2.0
+        # nearest integer with exact .5 ties resolving downward
+        idx = int(math.ceil(x - 0.5))
+        indices.append(min(max(idx, 0), count - 1))
+    return tuple(indices)
+
+
+@st.composite
+def space_and_vectors(draw):
+    """Rows mixing arbitrary values in [-3, 3] with exact level midpoints."""
+    counts = draw(level_counts)
+
+    def component(count):
+        midpoints = [-1.0 + (2 * i + 1) / (count - 1) for i in range(count - 1)]
+        return st.one_of(st.floats(-3.0, 3.0), st.sampled_from(midpoints or [0.0]))
+
+    rows = draw(st.lists(st.tuples(*map(component, counts)), min_size=1, max_size=8))
+    return grid(*counts), np.array(rows)
+
+
+class TestSnapProperties:
+    @given(space_and_vectors())
+    def test_batch_matches_scalar_formula(self, case):
+        s, vectors = case
+        snapped = snap(s, vectors)
+        assert snapped == [scalar_snap(s, row) for row in vectors]
+        assert all(type(i) is int for t in snapped for i in t)
+
+    @given(level_counts, st.integers(1, 8))
+    def test_rows_must_be_six_wide(self, counts, k):
+        with pytest.raises(ValueError):
+            snap(grid(*counts), np.zeros((k, 5)))
+
+
 class TestSnap:
     def test_round_trip_on_all_grid_points(self):
         for counts in [(2, 2, 2, 2, 2, 2), (3, 1, 4, 2, 5, 2)]:
             s = grid(*counts)
             for t in enumerate_inputs(s):
-                assert snap(s, normalize(s, t)) == t
+                assert snap(s, [normalize(s, t)])[0] == t
 
     def test_endpoints(self):
         s = grid(4, 4, 4, 4, 4, 4)
-        assert snap(s, -np.ones(6)) == (0,) * 6
-        assert snap(s, np.ones(6)) == (3,) * 6
+        assert snap(s, [-np.ones(6)])[0] == (0,) * 6
+        assert snap(s, [np.ones(6)])[0] == (3,) * 6
 
     def test_midpoint_tie_goes_low(self):
         s = grid(2, 2, 2, 2, 2, 2)
-        assert snap(s, np.zeros(6)) == (0,) * 6
+        assert snap(s, [np.zeros(6)])[0] == (0,) * 6
 
     def test_nearest_neighbour(self):
         s = grid(5, 1, 1, 1, 1, 1)
         # grid at -1, -0.5, 0, 0.5, 1 along dim 0
-        assert snap(s, np.array([0.2, 0, 0, 0, 0, 0]))[0] == 2
-        assert snap(s, np.array([0.3, 0, 0, 0, 0, 0]))[0] == 3
-        assert snap(s, np.array([0.25, 0, 0, 0, 0, 0]))[0] == 2  # exact tie, low
-        assert snap(s, np.array([-0.74, 0, 0, 0, 0, 0]))[0] == 1
+        assert snap(s, [[0.2, 0, 0, 0, 0, 0]])[0][0] == 2
+        assert snap(s, [[0.3, 0, 0, 0, 0, 0]])[0][0] == 3
+        assert snap(s, [[0.25, 0, 0, 0, 0, 0]])[0][0] == 2  # exact tie, low
+        assert snap(s, [[-0.74, 0, 0, 0, 0, 0]])[0][0] == 1
 
 
 class TestRanking:

@@ -206,6 +206,13 @@ class TestShellSut:
         sut = ShellSut(command='echo "$LITTLE_FREQ"')
         assert sut.measure(space, (0, 0, 0, 1, 0, 0)) == 800.0
 
+    def test_caller_environment_inherited(self, monkeypatch):
+        monkeypatch.setenv("PERFGAN_SENTINEL", "7.5")
+        monkeypatch.setenv("BIG_CPUS", "caller value")  # the dimension wins
+        space = toy_space()
+        sut = ShellSut(command='test "$BIG_CPUS" = 4.0 && echo "$PERFGAN_SENTINEL"')
+        assert sut.measure(space, (1, 0, 0, 0, 0, 0)) == 7.5
+
     def test_no_output_raises(self):
         space = toy_space()
         sut = ShellSut(command="true")
