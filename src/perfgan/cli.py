@@ -11,18 +11,19 @@ Exit codes: 0 success, 1 configuration error, 2 output I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
+from dataclasses import replace
 from importlib.metadata import PackageNotFoundError, version
 
 from .harness import (
+    ALGORITHM_KINDS,
     ConfigError,
     load_config,
     run_experiment,
 )
 from .space import cardinality
-from .sut import CalibrationError, oracle_positive_count
+from .sut import oracle_positive_count
 
 
 def _package_version() -> str:
@@ -47,9 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--master-seed", type=int, help="override the master seed")
 
     single = sub.add_parser("run", help="run one algorithm once")
-    single.add_argument(
-        "--algorithm", required=True, choices=("random", "dn", "ogan")
-    )
+    single.add_argument("--algorithm", required=True, choices=ALGORITHM_KINDS)
     single.add_argument("--config", required=True, help="JSON experiment config")
     single.add_argument("--seed", required=True, type=int, help="run seed")
     single.add_argument("--out", required=True, help="output directory")
@@ -62,24 +61,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, output_dir=args.out)
-    if args.runs is not None:
-        if args.runs < 1:
-            raise ConfigError("runs: must be >= 1")
-        cfg.runs = args.runs
-    if args.master_seed is not None:
-        cfg.master_seed = args.master_seed
-    run_experiment(cfg)
+    overrides = {"runs": args.runs, "master_seed": args.master_seed}
+    run_experiment(replace(cfg, **{k: v for k, v in overrides.items() if v is not None}))
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed: must be >= 0")
     cfg = load_config(args.config, output_dir=args.out)
     matching = [v for v in cfg.algorithms if v.kind == args.algorithm]
     if not matching:
         raise ConfigError(f"algorithms: no {args.algorithm!r} entry in config")
-    cfg.algorithms = [matching[0]]
-    cfg.runs = 1
-    run_experiment(cfg, run_seeds=[args.seed])
+    run_experiment(replace(cfg, algorithms=matching[:1], runs=1), run_seeds=[args.seed])
     return 0
 
 
@@ -101,10 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"compare": _cmd_compare, "run": _cmd_run, "oracle": _cmd_oracle}
     try:
         return handlers[args.command](args)
-    except (ConfigError, CalibrationError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -14,6 +14,13 @@ plot-ready outputs:
 * sma.csv        -- moving average over the cross-run mean fitness per
                     test index
 
+The config dataclasses are the JSON schema: `sut`, `fitness`, each
+algorithm and its `gan` build their dataclass by field name and type,
+and an unknown key anywhere is a ConfigError.  ExperimentConfig checks
+itself, so `parse_config`, `dataclasses.replace` (the CLI overrides)
+and library callers pass one check.  The output directory is not part
+of the JSON; callers pass it to `load_config`.
+
 Everything downstream of the master seed is deterministic, so repeated
 invocations produce byte-identical files.
 """
@@ -21,16 +28,17 @@ invocations produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .gan import GanHyperparams
 from .generators import (
     AlgorithmConfig,
     TestSuite,
@@ -41,11 +49,18 @@ from .generators import (
 )
 from .rng import derive_run_seed
 from .space import Dimension, InputSpace, cardinality
-from .sut import FitnessSpec, SyntheticSut, calibrate_gain, oracle_positive_count
+from .sut import (
+    CalibrationError,
+    FitnessSpec,
+    SyntheticSut,
+    calibrate_gain,
+    oracle_positive_count,
+)
 
 log = logging.getLogger(__name__)
 
-ALGORITHM_KINDS = ("random", "dn", "ogan")
+_RUNNERS = {"random": run_random, "dn": run_dn, "ogan": run_ogan}
+ALGORITHM_KINDS = tuple(_RUNNERS)
 
 TESTS_CSV_HEADER = [
     "run_id", "algorithm", "seed", "test_index",
@@ -66,8 +81,10 @@ class AlgorithmVariant:
     config: AlgorithmConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated experiment; `dataclasses.replace` validates again."""
+
     space: InputSpace
     sut: SyntheticSut
     fitness: FitnessSpec
@@ -78,6 +95,22 @@ class ExperimentConfig:
     histogram_bins: int = 10
     output_dir: Path | None = None
     target_density: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("runs", "sma_window", "histogram_bins"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}: must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed: must be >= 0")
+        labels = [v.label for v in self.algorithms]
+        if len(set(labels)) != len(labels):
+            raise ConfigError("algorithms: labels must be distinct (set 'label')")
+        total = cardinality(self.space)
+        for i, variant in enumerate(self.algorithms):
+            if variant.config.budget > total:
+                raise ConfigError(f"algorithms[{i}].budget: exceeds space cardinality {total}")
+            if self.sma_window > variant.config.budget:
+                raise ConfigError(f"sma_window: exceeds budget of algorithm {variant.label!r}")
 
 
 @dataclass(frozen=True)
@@ -157,6 +190,55 @@ def _as_int(value: Any, path: str) -> int:
     return value
 
 
+_CONVERTERS = {int: _as_int, float: _as_number}
+
+
+@functools.cache
+def _field_types(cls: type) -> dict[str, type]:
+    """Field name -> type of a config dataclass.  `X | None` gives X: JSON
+    null is rejected, and only the default means None."""
+    hints, types = typing.get_type_hints(cls), {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        if type(None) in typing.get_args(hint):
+            (hint,) = set(typing.get_args(hint)) - {type(None)}
+        types[f.name] = hint
+    return types
+
+
+def _scalar_fields() -> list[str]:
+    """The top-level keys besides the sections: ExperimentConfig's integer
+    fields (output_dir comes from the caller, target_density from `sut`)."""
+    return [name for name, tp in _field_types(ExperimentConfig).items() if tp is int]
+
+
+def _section(cls: type, raw: Any, path: str, extra: tuple[str, ...] = ()) -> Any:
+    """Build config dataclass `cls` from its JSON object.
+
+    Each field given in `raw` is converted by its type: int, float or a
+    nested config dataclass.  Keys in `extra` are left to the caller;
+    any other key is an error, as is a value the constructor rejects.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected an object")
+    types = _field_types(cls)
+    unknown = set(raw) - set(types) - set(extra)
+    if unknown:
+        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown field")
+    kwargs = {}
+    for key, value in raw.items():
+        if key in types:
+            tp, sub = types[key], f"{path}.{key}"
+            if is_dataclass(tp):
+                kwargs[key] = _section(tp, value, sub)
+            else:
+                kwargs[key] = _CONVERTERS[tp](value, sub)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _load_space(raw: Any) -> InputSpace:
     if not isinstance(raw, list) or len(raw) != 6:
         raise ConfigError("space: expected an array of 6 dimensions")
@@ -178,50 +260,12 @@ def _load_space(raw: Any) -> InputSpace:
     return InputSpace(dims=tuple(dims))
 
 
-def _load_gan(raw: Any, path: str) -> GanHyperparams:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected an object")
-    kwargs: dict[str, Any] = {}
-    for key in ("disc_epochs", "gen_epochs", "minibatch", "gen_samples_per_round"):
-        if key in raw:
-            kwargs[key] = _as_int(raw[key], f"{path}.{key}")
-    unknown = set(raw) - {"disc_epochs", "gen_epochs", "minibatch", "gen_samples_per_round"}
-    if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown field")
-    try:
-        return GanHyperparams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _load_algorithm(raw: Any, index: int, space: InputSpace) -> AlgorithmVariant:
+def _load_algorithm(raw: Any, index: int) -> AlgorithmVariant:
     path = f"algorithms[{index}]"
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected an object")
+    config = _section(AlgorithmConfig, raw, path, extra=("kind", "label"))
     kind = _require(raw, "kind", path)
     if kind not in ALGORITHM_KINDS:
         raise ConfigError(f"{path}.kind: must be one of {ALGORITHM_KINDS}")
-    kwargs: dict[str, Any] = {}
-    for key in ("budget", "warmup", "batchsize", "fallback_after"):
-        if key in raw:
-            kwargs[key] = _as_int(raw[key], f"{path}.{key}")
-    if "treducer" in raw:
-        kwargs["treducer"] = _as_number(raw["treducer"], f"{path}.treducer")
-    if "gan" in raw:
-        kwargs["gan"] = _load_gan(raw["gan"], f"{path}.gan")
-    known = {"kind", "label", "budget", "warmup", "treducer", "batchsize",
-             "gan", "fallback_after"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown field")
-    try:
-        config = AlgorithmConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if config.budget > cardinality(space):
-        raise ConfigError(
-            f"{path}.budget: exceeds space cardinality {cardinality(space)}"
-        )
     default_label = kind if kind != "dn" else f"dn_bs{config.batchsize}"
     label = str(raw.get("label", default_label))
     return AlgorithmVariant(label=label, kind=kind, config=config)
@@ -241,81 +285,36 @@ def load_config(path: str | Path, output_dir: str | Path | None = None) -> Exper
 
 def parse_config(raw: dict, output_dir: str | Path | None = None) -> ExperimentConfig:
     space = _load_space(_require(raw, "space", "top level"))
-
     sut_raw = _require(raw, "sut", "top level")
-    if not isinstance(sut_raw, dict):
-        raise ConfigError("sut: expected an object")
-    sut_kwargs = {}
-    for key in ("p_idle", "kappa_big", "kappa_little", "gain"):
-        if key in sut_raw:
-            sut_kwargs[key] = _as_number(sut_raw[key], f"sut.{key}")
-    target_density = None
-    if "target_density" in sut_raw:
-        if "gain" in sut_raw:
-            raise ConfigError("sut.target_density: give either gain or target_density")
-        target_density = _as_number(sut_raw["target_density"], "sut.target_density")
-    try:
-        sut = SyntheticSut(**sut_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"sut: {exc}") from exc
-
-    fitness_raw = raw.get("fitness", {})
-    if not isinstance(fitness_raw, dict):
-        raise ConfigError("fitness: expected an object")
-    try:
-        fitness = FitnessSpec(p_m=_as_number(fitness_raw.get("p_m", 6.0), "fitness.p_m"))
-    except ValueError as exc:
-        raise ConfigError(f"fitness.p_m: {exc}") from exc
-
+    sut = _section(SyntheticSut, sut_raw, "sut", extra=("target_density",))
+    fitness = _section(FitnessSpec, raw.get("fitness", {}), "fitness")
     algorithms_raw = _require(raw, "algorithms", "top level")
     if not isinstance(algorithms_raw, list) or not algorithms_raw:
         raise ConfigError("algorithms: expected a nonempty array")
-    algorithms = [
-        _load_algorithm(entry, i, space) for i, entry in enumerate(algorithms_raw)
-    ]
-    labels = [v.label for v in algorithms]
-    if len(set(labels)) != len(labels):
-        raise ConfigError("algorithms: labels must be distinct (set 'label')")
-
-    runs = _as_int(raw.get("runs", 10), "runs")
-    if runs < 1:
-        raise ConfigError("runs: must be >= 1")
-    master_seed = _as_int(raw.get("master_seed", 0), "master_seed")
-    sma_window = _as_int(raw.get("sma_window", 10), "sma_window")
-    histogram_bins = _as_int(raw.get("histogram_bins", 10), "histogram_bins")
-    if sma_window < 1:
-        raise ConfigError("sma_window: must be >= 1")
-    if histogram_bins < 1:
-        raise ConfigError("histogram_bins: must be >= 1")
-    for variant in algorithms:
-        if sma_window > variant.config.budget:
-            raise ConfigError(
-                f"sma_window: exceeds budget of algorithm {variant.label!r}"
-            )
-
-    out = output_dir if output_dir is not None else raw.get("output_dir")
+    algorithms = [_load_algorithm(entry, i) for i, entry in enumerate(algorithms_raw)]
+    kwargs: dict[str, Any] = dict(space=space, sut=sut, fitness=fitness, algorithms=algorithms)
+    for key, value in raw.items():
+        if key not in kwargs:
+            if key not in _scalar_fields():
+                raise ConfigError(f"{key}: unknown field")
+            kwargs[key] = _as_int(value, key)
     cfg = ExperimentConfig(
-        space=space,
-        sut=sut,
-        fitness=fitness,
-        algorithms=algorithms,
-        runs=runs,
-        master_seed=master_seed,
-        sma_window=sma_window,
-        histogram_bins=histogram_bins,
-        output_dir=Path(out) if out is not None else None,
-        target_density=target_density,
+        **kwargs, output_dir=Path(output_dir) if output_dir is not None else None
     )
-    if target_density is not None:
-        cfg.sut = calibrate_gain(sut, space, fitness, target_density)
-    return cfg
+    if "target_density" not in sut_raw:
+        return cfg
+    if "gain" in sut_raw:
+        raise ConfigError("sut.target_density: give either gain or target_density")
+    density = _as_number(sut_raw["target_density"], "sut.target_density")
+    try:
+        sut = calibrate_gain(sut, space, fitness, density)
+    except (ValueError, CalibrationError) as exc:
+        raise ConfigError(f"sut.target_density: {exc}") from exc
+    return replace(cfg, sut=sut, target_density=density)
 
 
 # ---------------------------------------------------------------------------
 # running
-
-
-_RUNNERS = {"random": run_random, "dn": run_dn, "ogan": run_ogan}
 
 
 def run_experiment(
@@ -420,10 +419,7 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
             {"label": v.label, "kind": v.kind, **asdict(v.config)}
             for v in cfg.algorithms
         ],
-        "runs": cfg.runs,
-        "master_seed": cfg.master_seed,
-        "sma_window": cfg.sma_window,
-        "histogram_bins": cfg.histogram_bins,
+        **{name: getattr(cfg, name) for name in _scalar_fields()},
     }
 
 
@@ -436,17 +432,7 @@ def summary_to_dict(summary: Summary, cfg: ExperimentConfig) -> dict:
             "gain": summary.gain,
         },
         "algorithms": {
-            a.label: {
-                "kind": a.kind,
-                "positive_counts": a.positive_counts,
-                "mean_positive_count": a.mean_positive_count,
-                "stddev_positive_count": a.stddev_positive_count,
-                "mean_fitness": a.mean_fitness,
-                "mean_inner_iterations": a.mean_inner_iterations,
-                "mean_candidate_trials": a.mean_candidate_trials,
-                "histogram": a.histogram,
-                "sma": a.sma,
-            }
+            a.label: {k: v for k, v in asdict(a).items() if k != "label"}
             for a in summary.algorithms
         },
         "config": _config_echo(cfg),

@@ -114,6 +114,35 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_negative_master_seed_is_config_error(tmp_path, capsys, where):
+    config = write_config(tmp_path, **({"master_seed": -1} if where == "config" else {}))
+    argv = ["compare", "--config", str(config), "--out", str(tmp_path / "out")]
+    if where == "flag":
+        argv += ["--master-seed", "-1"]
+    assert main(argv) == 1
+    assert "config error: master_seed" in capsys.readouterr().err
+
+
+def test_negative_run_seed_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    code = main([
+        "run", "--algorithm", "random", "--config", str(config),
+        "--seed", "-1", "--out", str(tmp_path / "x"),
+    ])
+    assert code == 1
+    assert "config error: --seed" in capsys.readouterr().err
+
+
+def test_target_density_out_of_range_is_config_error(tmp_path, capsys):
+    config = write_config(
+        tmp_path, sut={"p_idle": 0.5, "kappa_big": 1.0, "kappa_little": 0.15,
+                       "target_density": 1.5},
+    )
+    assert main(["oracle", "--config", str(config)]) == 1
+    assert "config error: sut.target_density" in capsys.readouterr().err
+
+
 def test_missing_config_exits_one(tmp_path):
     assert main(["oracle", "--config", str(tmp_path / "absent.json")]) == 1
 

@@ -1,10 +1,14 @@
 """Experiment runner: config loading, statistics, output files."""
 
 import json
+import typing
+from dataclasses import MISSING, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
+from perfgan.gan import GanHyperparams
+from perfgan.generators import AlgorithmConfig
 from perfgan.harness import (
     ConfigError,
     histogram,
@@ -14,6 +18,7 @@ from perfgan.harness import (
     summary_to_dict,
 )
 from perfgan.rng import derive_run_seed
+from perfgan.sut import FitnessSpec, SyntheticSut
 
 
 def config_dict(**overrides):
@@ -49,6 +54,25 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config_dict(**overrides)))
     return path
+
+
+def non_default_value(cls, field):
+    """A valid JSON value for `field` of `cls` that differs from its default."""
+    default = field.default if field.default is not MISSING else field.default_factory()
+    if typing.get_type_hints(cls)[field.name] == float:
+        return default / 2
+    return (default or 0) + 1
+
+
+# (dataclass, JSON section that builds it, path from the loaded config to it)
+SECTIONS = [
+    (SyntheticSut, lambda raw: raw["sut"], lambda cfg: cfg.sut),
+    (FitnessSpec, lambda raw: raw["fitness"], lambda cfg: cfg.fitness),
+    (AlgorithmConfig, lambda raw: raw["algorithms"][0],
+     lambda cfg: cfg.algorithms[0].config),
+    (GanHyperparams, lambda raw: raw["algorithms"][0].setdefault("gan", {}),
+     lambda cfg: cfg.algorithms[0].config.gan),
+]
 
 
 class TestSma:
@@ -162,6 +186,58 @@ class TestConfigLoading:
         path = write_config(tmp_path, sma_window=25)
         with pytest.raises(ConfigError, match="sma_window"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "where, expected",
+        [
+            (lambda raw: raw["sut"], r"sut\.bogus"),
+            (lambda raw: raw["fitness"], r"fitness\.bogus"),
+            (lambda raw: raw, r"^bogus"),
+            (lambda raw: raw["algorithms"][1], r"algorithms\[1\]\.bogus"),
+            (lambda raw: raw["algorithms"][1]["gan"], r"algorithms\[1\]\.gan\.bogus"),
+        ],
+        ids=["sut", "fitness", "top_level", "algorithm", "gan"],
+    )
+    def test_unknown_key_rejected(self, tmp_path, where, expected):
+        bad = config_dict()
+        where(bad)["bogus"] = 1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ConfigError, match=expected + ": unknown field"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", ["output_dir", "target_density"])
+    def test_top_level_field_not_settable_from_json(self, tmp_path, key):
+        path = write_config(tmp_path, **{key: 0.5})
+        with pytest.raises(ConfigError, match=f"^{key}: unknown field"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "section, loaded, cls, field",
+        [
+            pytest.param(section, loaded, cls, f, id=f"{cls.__name__}.{f.name}")
+            for cls, section, loaded in SECTIONS
+            for f in fields(cls)
+            if not is_dataclass(typing.get_type_hints(cls)[f.name])
+        ],
+    )
+    def test_every_field_reaches_the_config(self, tmp_path, section, loaded, cls, field):
+        raw = config_dict()
+        raw["algorithms"] = [{"kind": "dn"}]
+        value = non_default_value(cls, field)
+        section(raw)[field.name] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert getattr(loaded(load_config(path)), field.name) == value
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("runs", 0), ("sma_window", 0), ("histogram_bins", 0), ("master_seed", -1)],
+    )
+    def test_replace_is_validated(self, tmp_path, key, value):
+        cfg = load_config(write_config(tmp_path))
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            replace(cfg, **{key: value})
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "nope.json"
