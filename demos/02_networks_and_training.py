@@ -5,6 +5,8 @@ central finite differences, steps through the RMSprop recurrence by
 hand, and fits a toy regression.
 """
 
+import copy
+
 import numpy as np
 
 from perfgan import (
@@ -31,7 +33,7 @@ t = rng.uniform(-1, 1, size=(4, 1))
 grads = backward(net, x, t)
 
 h = 1e-5
-probe = net.copy()
+probe = copy.deepcopy(net)
 probe.weights[0][0, 0] += h
 up = loss_mse(forward(probe, x), t)
 probe.weights[0][0, 0] -= 2 * h

@@ -21,6 +21,7 @@ from perfgan import (
     train_discriminator,
     train_generator,
 )
+from perfgan.gan import LATENT_DIM
 from perfgan.nn import forward, loss_mse
 
 space = default_space()
@@ -44,7 +45,7 @@ print(f"discriminator MSE after training:  "
       f"{loss_mse(forward(gan.discriminator, inputs), targets):.4f}")
 
 # The generator is trained to make the frozen discriminator predict 1.
-probe = np.random.default_rng(9).uniform(-1.0, 1.0, size=(64, gan.latent_dim))
+probe = np.random.default_rng(9).uniform(-1.0, 1.0, size=(64, LATENT_DIM))
 before = predict_fitness(gan, sample_candidates(gan, probe))
 for round_ in range(5):
     gan = train_generator(gan, GanHyperparams(), np.random.default_rng(10 + round_))
@@ -58,7 +59,7 @@ print(f"\nmean predicted fitness of 64 fresh candidates: "
 # measured power).  The online loop corrects this by executing exactly
 # those candidates and retraining on the measurements -- see demo 04
 # for the closed loop.
-noise = np.random.default_rng(11).uniform(-1.0, 1.0, size=(8, gan.latent_dim))
+noise = np.random.default_rng(11).uniform(-1.0, 1.0, size=(8, LATENT_DIM))
 candidates = sample_candidates(gan, noise)
 print("\ngenerator candidates after training (predicted vs measured):")
 for vec, t in zip(candidates, snap(space, candidates)):

@@ -22,10 +22,10 @@ from .nn import (
     NetworkState,
     NetworkTopology,
     RmspropState,
+    TrainingCopy,
     forward,
     forward_trace,
     init_network,
-    rmsprop_step,
     train_epochs,
 )
 
@@ -73,7 +73,6 @@ class GanHyperparams:
 class GanModel:
     generator: NetworkState
     discriminator: NetworkState
-    latent_dim: int
     gen_opt: RmspropState
     disc_opt: RmspropState
 
@@ -85,7 +84,6 @@ def init_gan(hp: GanHyperparams, rng: np.random.Generator) -> GanModel:
     return GanModel(
         generator=generator,
         discriminator=discriminator,
-        latent_dim=LATENT_DIM,
         gen_opt=RmspropState.for_network(generator),
         disc_opt=RmspropState.for_network(discriminator),
     )
@@ -94,9 +92,8 @@ def init_gan(hp: GanHyperparams, rng: np.random.Generator) -> GanModel:
 def sample_candidates(gan: GanModel, noise: np.ndarray) -> np.ndarray:
     """Generator outputs for the given noise rows; shape (k, 6) in (-1, 1).
 
-    `noise` is (k, latent_dim), drawn by the caller as
-    rng.uniform(-1, 1, size=(k, LATENT_DIM)); a block of k rows equals k
-    one-row draws from the same stream, so callers may batch freely.
+    `noise` is the caller's rng.uniform(-1, 1, size=(k, LATENT_DIM)); a
+    block of k rows equals k one-row draws from one stream, so callers batch.
     """
     return forward(gan.generator, noise)
 
@@ -128,21 +125,20 @@ def train_generator(
 
     Each round draws fresh noise, runs it through the generator and the
     frozen discriminator, and takes one RMSprop step on the generator
-    from the mean-squared distance to the constant target 1.  The
-    discriminator only relays its input gradient; its parameters are
-    not touched.
+    from the mean-squared distance to the constant target 1, in place on
+    the `TrainingCopy` made on entry; `gan` is not mutated.  The frozen
+    discriminator only relays its input gradient, and the generator's
+    gradient with respect to the noise is never computed.
     """
     n = hp.gen_samples_per_round if hp.gen_samples_per_round is not None else 32
-    generator, gen_opt = gan.generator, gan.gen_opt
+    own = TrainingCopy(gan.generator, gan.gen_opt)
     ones = np.ones((n, 1))
     for _ in range(hp.gen_epochs):
-        noise = rng.uniform(-1.0, 1.0, size=(n, gan.latent_dim))
-        gen_trace = forward_trace(generator, noise)
+        noise = rng.uniform(-1.0, 1.0, size=(n, LATENT_DIM))
+        gen_trace = forward_trace(own.state, noise)
         disc_trace = forward_trace(gan.discriminator, gen_trace.output)
-        _, through_disc = disc_trace.mse_backward(ones)
-        grads = gen_trace.backward(through_disc.input_grad)
-        generator, gen_opt = rmsprop_step(generator, grads, gen_opt)
-    return replace(gan, generator=generator, gen_opt=gen_opt)
+        own.step(gen_trace, disc_trace.input_grad(disc_trace.mse_grad(ones)[1]))
+    return replace(gan, generator=own.state, gen_opt=own.opt)
 
 
 def train_gan(

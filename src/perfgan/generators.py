@@ -32,6 +32,7 @@ import numpy as np
 
 from .gan import (
     DISCRIMINATOR_TOPOLOGY,
+    LATENT_DIM,
     GanHyperparams,
     init_gan,
     predict_fitness,
@@ -300,7 +301,7 @@ def run_ogan(
     # noise holds the gan-latent rows no pass has used yet, in draw order;
     # block holds the current generator's snapped candidates for its
     # leading rows (empty after a retrain, which keeps the noise)
-    noise = np.empty((0, gan.latent_dim))
+    noise = np.empty((0, LATENT_DIM))
     block: list[TestInput] = []
 
     def propose(suite: TestSuite, stalled: bool) -> list[TestInput]:
@@ -309,7 +310,7 @@ def run_ogan(
             return sample_uniform(space, suite.executed, 1, rng_fallback)
         if not block:
             fresh = rng_latent.uniform(
-                -1.0, 1.0, size=(PROPOSAL_BLOCK - len(noise), gan.latent_dim)
+                -1.0, 1.0, size=(PROPOSAL_BLOCK - len(noise), LATENT_DIM)
             )
             noise = np.concatenate([noise, fresh])
             block = snap(space, sample_candidates(gan, noise))

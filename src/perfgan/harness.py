@@ -48,7 +48,7 @@ from .generators import (
     suite_stats,
 )
 from .rng import derive_run_seed
-from .space import Dimension, InputSpace, cardinality
+from .space import DIMENSION_ROLES, Dimension, InputSpace, cardinality
 from .sut import (
     CalibrationError,
     FitnessSpec,
@@ -248,12 +248,14 @@ def _load_space(raw: Any) -> InputSpace:
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: expected an object")
         name = _require(entry, "name", path)
+        if name != DIMENSION_ROLES[j]:
+            raise ConfigError(f"{path}.name: expected {DIMENSION_ROLES[j]!r}, got {name!r}")
         levels = _require(entry, "levels", path)
         if not isinstance(levels, list) or not levels:
             raise ConfigError(f"{path}.levels: expected a nonempty array")
         try:
             dims.append(
-                Dimension(str(name), tuple(_as_number(v, f"{path}.levels") for v in levels))
+                Dimension(name, tuple(_as_number(v, f"{path}.levels") for v in levels))
             )
         except ValueError as exc:
             raise ConfigError(f"{path}.levels: {exc}") from exc
@@ -267,7 +269,9 @@ def _load_algorithm(raw: Any, index: int) -> AlgorithmVariant:
     if kind not in ALGORITHM_KINDS:
         raise ConfigError(f"{path}.kind: must be one of {ALGORITHM_KINDS}")
     default_label = kind if kind != "dn" else f"dn_bs{config.batchsize}"
-    label = str(raw.get("label", default_label))
+    label = raw.get("label", default_label)
+    if not isinstance(label, str):
+        raise ConfigError(f"{path}.label: expected a string, got {label!r}")
     return AlgorithmVariant(label=label, kind=kind, config=config)
 
 

@@ -5,19 +5,19 @@ and a 3x8 discriminator with a relu output), so there is no autograd
 graph: each network is a plain list of weight matrices and bias vectors.
 A training step runs each network forward once (`forward_trace`); the
 loss and the hand-written reverse-mode backward pass both read that
-trace.  Besides parameter gradients, the backward pass also returns the
-gradient with respect to the *inputs*, which is what lets a generator
-train through a frozen downstream network.
+trace.  Backward computes only what its caller reads: parameter
+gradients, or the gradient with respect to the *inputs*, which is what
+lets a generator train through a frozen downstream network, or both.
 
-All state is float64 and updates are functional: training steps return
-new parameter/optimizer values and never mutate their arguments, so
+All state is float64.  Public calls never mutate their arguments, so
 "this phase did not touch that network" is checkable by object identity
-or bit-level equality.
+or bit-level equality.  A training call owns one copy of its network and
+RMSprop cache (`TrainingCopy`), made on entry, and updates it in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,13 +75,6 @@ class NetworkState:
     def parameter_count(self) -> int:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
-    def copy(self) -> "NetworkState":
-        return NetworkState(
-            topology=self.topology,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
 
 @dataclass
 class Gradients:
@@ -96,14 +89,17 @@ class Gradients:
 RMSPROP_LEARNING_RATE = 0.001
 RMSPROP_RHO = 0.9
 RMSPROP_EPSILON = 1e-8
+# Elements per slice of the in-place RMSprop kernel (128 kB of float64),
+# so its two temporaries stay in cache however large the network is.
+RMSPROP_SLICE = 16384
 
 
 @dataclass
 class RmspropState:
     """Per-parameter squared-gradient cache of the RMSprop optimizer."""
 
-    weight_cache: list[np.ndarray] = field(default_factory=list)
-    bias_cache: list[np.ndarray] = field(default_factory=list)
+    weight_cache: list[np.ndarray]
+    bias_cache: list[np.ndarray]
 
     @classmethod
     def for_network(cls, state: NetworkState) -> "RmspropState":
@@ -163,29 +159,45 @@ class Trace:
     def output(self) -> np.ndarray:
         return self.activations[-1]
 
-    def mse_backward(self, targets: np.ndarray) -> tuple[float, Gradients]:
-        """loss_mse of the output against `targets`, and its gradients."""
+    def mse_grad(self, targets: np.ndarray) -> tuple[float, np.ndarray]:
+        """loss_mse of the output against `targets`, and dL/d(output)."""
         diff = self.output - targets
-        return float(np.mean(diff * diff)), self.backward(2.0 * diff / diff.size)
+        return float(np.mean(diff * diff)), 2.0 * diff / diff.size
 
     def backward(self, output_grad: np.ndarray) -> Gradients:
         """Backpropagate an upstream dL/d(output); feeding one network's
         input gradient in here trains an upstream network through it."""
+        weight_grads = [np.empty_like(w) for w in self.state.weights]
+        bias_grads = [np.empty_like(b) for b in self.state.biases]
+        input_grad = self._backward(output_grad, weight_grads, bias_grads, True)
+        return Gradients(weight_grads, bias_grads, input_grad)
+
+    def parameter_grads(self, output_grad, weight_grads: list, bias_grads: list) -> None:
+        """Only the parameter gradients, written into the given arrays."""
+        self._backward(output_grad, weight_grads, bias_grads, False)
+
+    def input_grad(self, output_grad: np.ndarray) -> np.ndarray:
+        """Only the input gradient, which a frozen network relays upstream."""
+        return self._backward(output_grad, None, None, True)
+
+    # weight_grads None skips the parameter gradients; want_input False
+    # skips layer 0's input gradient, which only a frozen network relays
+    def _backward(self, output_grad, weight_grads, bias_grads, want_input):
         grad = np.asarray(output_grad, dtype=np.float64)
         if grad.shape != self.output.shape:
             raise ValueError(
                 f"output_grad must be {self.output.shape}, got {grad.shape}"
             )
         state, zs, activations = self.state, self.zs, self.activations
-        weight_grads: list[np.ndarray] = [np.empty(0)] * len(state.weights)
-        bias_grads: list[np.ndarray] = [np.empty(0)] * len(state.biases)
         for l in range(len(state.weights) - 1, -1, -1):
             layer = state.topology.layers[l]
             dz = grad * _activation_grad(layer.activation, zs[l], activations[l + 1])
-            weight_grads[l] = activations[l].T @ dz
-            bias_grads[l] = dz.sum(axis=0)
-            grad = dz @ state.weights[l].T
-        return Gradients(weight_grads=weight_grads, bias_grads=bias_grads, input_grad=grad)
+            if weight_grads is not None:
+                np.matmul(activations[l].T, dz, out=weight_grads[l])
+                np.sum(dz, axis=0, out=bias_grads[l])
+            if l > 0 or want_input:
+                grad = dz @ state.weights[l].T
+        return grad
 
 
 def forward_trace(state: NetworkState, inputs: np.ndarray) -> Trace:
@@ -221,34 +233,66 @@ def backward(state: NetworkState, inputs: np.ndarray, targets: np.ndarray) -> Gr
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != trace.output.shape:
         raise ValueError(f"targets must be {trace.output.shape}, got {t.shape}")
-    return trace.mse_backward(t)[1]
+    return trace.backward(trace.mse_grad(t)[1])
+
+
+def _flat_copy(arrays: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+
+
+def _split(flat: np.ndarray, state: NetworkState) -> tuple[list, list]:
+    """Views of `flat` shaped like `state`'s weights, then its biases."""
+    views, end = [], 0
+    for a in state.weights + state.biases:
+        views.append(flat[end : end + a.size].reshape(a.shape))
+        end += a.size
+    return views[: len(state.weights)], views[len(state.weights) :]
+
+
+class TrainingCopy:
+    """A training call's own copy of a network and its RMSprop cache, made
+    on entry: parameters, cache and gradients are one float64 vector each,
+    with per-layer views, so every step updates in place."""
+
+    def __init__(self, state: NetworkState, opt: RmspropState) -> None:
+        self.params = _flat_copy(state.weights + state.biases)
+        self.cache = _flat_copy(opt.weight_cache + opt.bias_cache)
+        self.grads = np.empty_like(self.params)
+        self.state = NetworkState(state.topology, *_split(self.params, state))
+        self.opt = RmspropState(*_split(self.cache, state))
+        self.grad_views = _split(self.grads, state)
+        self.scratch = np.empty((2, min(RMSPROP_SLICE, self.params.size)))
+
+    def step(self, trace: Trace, output_grad: np.ndarray) -> None:
+        """Backpropagate through `trace`, a pass of `state`, then update."""
+        trace.parameter_grads(output_grad, *self.grad_views)
+        self.update()
+
+    def update(self) -> None:
+        """One RMSprop step from the gradient buffer, one slice at a time."""
+        lr, rho, eps = RMSPROP_LEARNING_RATE, RMSPROP_RHO, RMSPROP_EPSILON
+        for start in range(0, self.params.size, RMSPROP_SLICE):
+            span = slice(start, start + RMSPROP_SLICE)
+            p, g, c = self.params[span], self.grads[span], self.cache[span]
+            t, d = self.scratch[:, : len(p)]
+            # cache <- rho*cache + ((1-rho)*g)*g; the other order of the
+            # products differs in the last bits
+            c *= rho
+            c += np.multiply(np.multiply(g, 1.0 - rho, out=t), g, out=t)
+            # param <- param - (lr*g) / (sqrt(cache) + epsilon)
+            np.add(np.sqrt(c, out=d), eps, out=d)
+            p -= np.divide(np.multiply(g, lr, out=t), d, out=t)
 
 
 def rmsprop_step(
     state: NetworkState, grads: Gradients, opt: RmspropState
 ) -> tuple[NetworkState, RmspropState]:
-    """One RMSprop update; returns new state and optimizer, inputs untouched.
-
-    Per parameter: cache <- rho*cache + (1-rho)*g^2,
-    param <- param - lr*g/(sqrt(cache) + epsilon).
-    """
-    lr, rho, eps = RMSPROP_LEARNING_RATE, RMSPROP_RHO, RMSPROP_EPSILON
-    new_weights = []
-    new_w_cache = []
-    for w, g, c in zip(state.weights, grads.weight_grads, opt.weight_cache):
-        c2 = rho * c + (1.0 - rho) * g * g
-        new_weights.append(w - lr * g / (np.sqrt(c2) + eps))
-        new_w_cache.append(c2)
-    new_biases = []
-    new_b_cache = []
-    for b, g, c in zip(state.biases, grads.bias_grads, opt.bias_cache):
-        c2 = rho * c + (1.0 - rho) * g * g
-        new_biases.append(b - lr * g / (np.sqrt(c2) + eps))
-        new_b_cache.append(c2)
-    return (
-        NetworkState(topology=state.topology, weights=new_weights, biases=new_biases),
-        replace(opt, weight_cache=new_w_cache, bias_cache=new_b_cache),
-    )
+    """One RMSprop update (`TrainingCopy.update`) on a fresh copy; returns
+    the new state and optimizer, arguments untouched."""
+    own = TrainingCopy(state, opt)
+    own.grads[:] = _flat_copy(grads.weight_grads + grads.bias_grads)
+    own.update()
+    return own.state, own.opt
 
 
 def train_epochs(
@@ -281,14 +325,16 @@ def train_epochs(
     if epochs == 0:
         return state, opt, loss_mse(forward_trace(state, x).output, t)
 
+    own = TrainingCopy(state, opt)
     epoch_loss = 0.0
     for _ in range(epochs):
         perm = rng.permutation(n)
         total = 0.0
         for start in range(0, n, minibatch):
             batch = perm[start : start + minibatch]
-            loss, grads = forward_trace(state, x[batch]).mse_backward(t[batch])
+            trace = forward_trace(own.state, x[batch])
+            loss, output_grad = trace.mse_grad(t[batch])
             total += loss * len(batch)
-            state, opt = rmsprop_step(state, grads, opt)
+            own.step(trace, output_grad)
         epoch_loss = total / n
-    return state, opt, epoch_loss
+    return own.state, own.opt, epoch_loss

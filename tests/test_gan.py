@@ -1,5 +1,7 @@
 """Online GAN: topology, sampling, two-phase training, phase isolation."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from perfgan.gan import (
     train_generator,
 )
 from perfgan.nn import forward, loss_mse
+from test_nn import arrays_of, assert_untouched_and_unshared
 
 
 def nets_equal(a, b):
@@ -29,6 +32,16 @@ def nets_equal(a, b):
 
 def fresh_gan(seed=0):
     return init_gan(GanHyperparams(), np.random.default_rng(seed))
+
+
+def trained_gan(seed=0):
+    """A GAN after one short round, so both RMSprop caches are nonzero."""
+    hp = GanHyperparams(disc_epochs=2, gen_epochs=2)
+    return train_gan(fresh_gan(seed), toy_suite(16, seed), hp, np.random.default_rng(seed))
+
+
+def states_of(gan):
+    return (gan.generator, gan.gen_opt, gan.discriminator, gan.disc_opt)
 
 
 def toy_suite(n=8, seed=1):
@@ -74,7 +87,7 @@ class TestInit:
 
     def test_dimension_chain(self):
         gan = fresh_gan()
-        assert gan.latent_dim == gan.generator.topology.input_dim == 100
+        assert LATENT_DIM == gan.generator.topology.input_dim == 100
         assert gan.generator.topology.output_dim == 6
         assert gan.discriminator.topology.input_dim == 6
         assert gan.discriminator.topology.output_dim == 1
@@ -183,6 +196,12 @@ class TestTrainGenerator:
         after = predict_fitness(trained, sample_candidates(trained, probe)).mean()
         assert after >= before
 
+    def test_arguments_untouched_and_unshared(self):
+        gan = trained_gan(22)
+        before = [a.copy() for a in arrays_of(*states_of(gan))]
+        after = train_generator(gan, GanHyperparams(gen_epochs=3), np.random.default_rng(12))
+        assert_untouched_and_unshared(before, states_of(gan), (after.generator, after.gen_opt))
+
     def test_one_trace_per_network_per_step(self, monkeypatch):
         # each step runs the generator and the discriminator forward once;
         # backprop reuses those passes
@@ -224,7 +243,7 @@ class TestChainRule:
         h = 1e-5
         for l in range(len(gen.weights)):
             for idx in np.ndindex(*gen.weights[l].shape):
-                st = gen.copy()
+                st = copy.deepcopy(gen)
                 st.weights[l][idx] += h
                 up = loss_mse(forward(disc, forward(st, noise)), ones)
                 st.weights[l][idx] -= 2 * h
@@ -267,6 +286,13 @@ class TestTrainGan:
         )
         assert nets_equal(combined.generator, staged.generator)
         assert nets_equal(combined.discriminator, staged.discriminator)
+
+    def test_arguments_untouched_and_unshared(self):
+        gan = trained_gan(24)
+        before = [a.copy() for a in arrays_of(*states_of(gan))]
+        after = train_gan(gan, toy_suite(20, seed=25), GanHyperparams(),
+                          np.random.default_rng(13))
+        assert_untouched_and_unshared(before, states_of(gan), states_of(after))
 
     def test_empty_suite_rejected(self):
         with pytest.raises(ValueError):

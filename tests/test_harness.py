@@ -182,6 +182,22 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="label"):
             load_config(path)
 
+    def test_space_names_follow_the_dimension_order(self, tmp_path):
+        bad = config_dict()
+        bad["space"][0], bad["space"][5] = bad["space"][5], bad["space"][0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ConfigError, match=r"space\[0\]\.name: .*'little_util'"):
+            load_config(path)
+
+    def test_null_label_rejected(self, tmp_path):
+        bad = config_dict()
+        bad["algorithms"][0]["label"] = None
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ConfigError, match=r"algorithms\[0\]\.label"):
+            load_config(path)
+
     def test_sma_window_must_fit_budget(self, tmp_path):
         path = write_config(tmp_path, sma_window=25)
         with pytest.raises(ConfigError, match="sma_window"):

@@ -1,7 +1,11 @@
 """Dense-network engine: forward, exact gradients, RMSprop, training."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import perfgan.nn as nn
 from perfgan.nn import (
@@ -37,7 +41,7 @@ def finite_difference_grads(state, inputs, targets, h=1e-5):
     for l in range(len(state.weights)):
         wg = np.zeros_like(state.weights[l])
         for idx in np.ndindex(*state.weights[l].shape):
-            st = state.copy()
+            st = copy.deepcopy(state)
             st.weights[l][idx] += h
             up = loss_at(st, x)
             st.weights[l][idx] -= 2 * h
@@ -46,7 +50,7 @@ def finite_difference_grads(state, inputs, targets, h=1e-5):
         weight_grads.append(wg)
         bg = np.zeros_like(state.biases[l])
         for idx in np.ndindex(*state.biases[l].shape):
-            st = state.copy()
+            st = copy.deepcopy(state)
             st.biases[l][idx] += h
             up = loss_at(st, x)
             st.biases[l][idx] -= 2 * h
@@ -63,6 +67,26 @@ def finite_difference_grads(state, inputs, targets, h=1e-5):
         down = loss_at(state, xs)
         input_grad[idx] = (up - down) / (2 * h)
     return Gradients(weight_grads, bias_grads, input_grad)
+
+
+def arrays_of(*objects):
+    """Every array of the given NetworkState and RmspropState objects."""
+    arrays = []
+    for obj in objects:
+        if isinstance(obj, NetworkState):
+            arrays += obj.weights + obj.biases
+        else:
+            arrays += obj.weight_cache + obj.bias_cache
+    return arrays
+
+
+def assert_untouched_and_unshared(before, given, returned):
+    """`given`'s arrays still equal the copies in `before`, bit for bit,
+    and no array of `returned` shares memory with any of them."""
+    for saved, array in zip(before, arrays_of(*given), strict=True):
+        assert saved.tobytes() == array.tobytes()
+    for out in arrays_of(*returned):
+        assert not any(np.shares_memory(out, array) for array in arrays_of(*given))
 
 
 def assert_grads_close(analytic, numeric, rel=1e-5, absolute=1e-8):
@@ -197,13 +221,84 @@ class TestBackward:
         t = rng.uniform(-1, 1, size=(4, 2))
         assert_grads_close(backward(net, x, t), finite_difference_grads(net, x, t))
 
+    @pytest.mark.parametrize(
+        "input_dim, specs",
+        [(100, [(128, "tanh")] * 3 + [(6, "tanh")]), (6, [(8, "tanh")] * 3 + [(1, "relu")])],
+        ids=["generator", "discriminator"],
+    )
+    def test_partial_backwards_match_full_bit_for_bit(self, input_dim, specs):
+        net = make_net(input_dim, specs, seed=12)
+        rng = np.random.default_rng(13)
+        trace = forward_trace(net, rng.uniform(-1, 1, (40, input_dim)))
+        output_grad = rng.normal(size=trace.output.shape)
+        full = trace.backward(output_grad)
+        # parameter gradients land in a training copy's flat buffer
+        weight_grads, bias_grads = nn.TrainingCopy(
+            net, RmspropState.for_network(net)
+        ).grad_views
+        trace.parameter_grads(output_grad, weight_grads, bias_grads)
+        for a, b in zip(full.weight_grads + full.bias_grads, weight_grads + bias_grads):
+            assert a.tobytes() == b.tobytes()
+        assert trace.input_grad(output_grad).tobytes() == full.input_grad.tobytes()
+
     def test_from_output_grad_shape_contract(self):
         net = make_net(3, [(2, "tanh")], seed=9)
         with pytest.raises(ValueError):
             forward_trace(net, np.zeros((2, 3))).backward(np.zeros((2, 3)))
 
 
+def reference_rmsprop_step(state, grads, opt):
+    """The functional update the in-place kernel replaced.  (1 - rho) * g
+    must be formed before the second * g, or the last bits differ."""
+    lr, rho, eps = nn.RMSPROP_LEARNING_RATE, nn.RMSPROP_RHO, nn.RMSPROP_EPSILON
+
+    def update(params, gs, caches):
+        new_params, new_caches = [], []
+        for p, g, c in zip(params, gs, caches):
+            c2 = rho * c + (1.0 - rho) * g * g
+            new_params.append(p - lr * g / (np.sqrt(c2) + eps))
+            new_caches.append(c2)
+        return new_params, new_caches
+
+    weights, weight_cache = update(state.weights, grads.weight_grads, opt.weight_cache)
+    biases, bias_cache = update(state.biases, grads.bias_grads, opt.bias_cache)
+    return NetworkState(state.topology, weights, biases), RmspropState(weight_cache, bias_cache)
+
+
+@st.composite
+def rmsprop_case(draw):
+    """A network with fewer or more parameters than one kernel slice, and
+    how to draw its gradients."""
+    above = draw(st.booleans())
+    low, high = (100, 160) if above else (1, 12)
+    widths = draw(st.lists(st.integers(low, high), min_size=3 if above else 2, max_size=4))
+    acts = ["tanh", "relu", "linear"]
+    specs = [(w, acts[i % 3]) for i, w in enumerate(widths[1:])]
+    net = make_net(widths[0], specs, seed=draw(st.integers(0, 2**16)))
+    assert (net.parameter_count() > nn.RMSPROP_SLICE) == above
+    scale = draw(st.sampled_from([0.0, 1e-6, 1.0, 1e3]))
+    return net, draw(st.integers(1, 4)), draw(st.integers(0, 2**16)), scale
+
+
 class TestRmsprop:
+    @settings(deadline=None)
+    @given(rmsprop_case())
+    def test_matches_functional_reference_bit_for_bit(self, case):
+        net, steps, seed, scale = case
+        rng = np.random.default_rng(seed)
+        opt = ref_opt = RmspropState.for_network(net)
+        ref = net
+        for _ in range(steps):
+            grads = Gradients(
+                [rng.normal(scale=scale, size=w.shape) for w in net.weights],
+                [rng.normal(scale=scale, size=b.shape) for b in net.biases],
+                np.zeros((1, net.topology.input_dim)),
+            )
+            net, opt = rmsprop_step(net, grads, opt)
+            ref, ref_opt = reference_rmsprop_step(ref, grads, ref_opt)
+        for a, b in zip(arrays_of(net, opt), arrays_of(ref, ref_opt), strict=True):
+            assert a.tobytes() == b.tobytes()
+
     def scalar_net(self, w):
         net = make_net(1, [(1, "linear")])
         net.weights[0][0, 0] = w
@@ -325,6 +420,17 @@ class TestTrainEpochs:
         train_epochs(net, (x, y), RmspropState.for_network(net), 3, 4,
                      np.random.default_rng(5))
         assert batch_sizes == [4, 4, 2] * 3
+
+    def test_arguments_untouched_and_unshared(self):
+        net = make_net(3, [(5, "tanh"), (2, "linear")], seed=8)
+        x = np.random.default_rng(3).uniform(-1, 1, (10, 3))
+        y = np.random.default_rng(4).uniform(-1, 1, (10, 2))
+        net, opt, _ = train_epochs(net, (x, y), RmspropState.for_network(net), 1, 4,
+                                   np.random.default_rng(5))
+        before = [a.copy() for a in arrays_of(net, opt)]
+        trained, new_opt, _ = train_epochs(net, (x, y), opt, 2, 4,
+                                           np.random.default_rng(6))
+        assert_untouched_and_unshared(before, (net, opt), (trained, new_opt))
 
     def test_shapes_preserved_by_training(self):
         net = make_net(3, [(5, "tanh"), (2, "linear")], seed=8)
