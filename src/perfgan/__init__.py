@@ -66,7 +66,6 @@ from .space import (
 from .sut import (
     CalibrationError,
     FitnessSpec,
-    ShellSut,
     SutInterface,
     SyntheticSut,
     calibrate_gain,

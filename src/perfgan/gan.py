@@ -55,7 +55,7 @@ DISCRIMINATOR_TOPOLOGY = NetworkTopology(
 @dataclass(frozen=True)
 class GanHyperparams:
     """Online training schedule; gen_samples_per_round=None means
-    max(32, suite size), resolved per round."""
+    max(32, suite size), resolved by `train_generator`."""
 
     disc_epochs: int = 10
     gen_epochs: int = 10
@@ -119,18 +119,20 @@ def train_discriminator(
 
 
 def train_generator(
-    gan: GanModel, hp: GanHyperparams, rng: np.random.Generator
+    gan: GanModel, hp: GanHyperparams, rng: np.random.Generator, suite_size: int = 0
 ) -> GanModel:
     """Push generator outputs toward predicted fitness 1.
 
-    Each round draws fresh noise, runs it through the generator and the
-    frozen discriminator, and takes one RMSprop step on the generator
-    from the mean-squared distance to the constant target 1, in place on
-    the `TrainingCopy` made on entry; `gan` is not mutated.  The frozen
-    discriminator only relays its input gradient, and the generator's
-    gradient with respect to the noise is never computed.
+    Each round draws fresh noise, hp.gen_samples_per_round rows or, when
+    that is None, max(32, suite_size), so the generator sees at least as
+    much noise as there is data.  It runs the noise through the generator
+    and the frozen discriminator, and takes one RMSprop step on the
+    generator from the mean-squared distance to the constant target 1, in
+    place on the `TrainingCopy` made on entry; `gan` is not mutated.  The
+    frozen discriminator only relays its input gradient, and the
+    generator's gradient with respect to the noise is never computed.
     """
-    n = hp.gen_samples_per_round if hp.gen_samples_per_round is not None else 32
+    n = hp.gen_samples_per_round or max(32, suite_size)
     own = TrainingCopy(gan.generator, gan.gen_opt)
     ones = np.ones((n, 1))
     for _ in range(hp.gen_epochs):
@@ -144,14 +146,6 @@ def train_generator(
 def train_gan(
     gan: GanModel, dataset: Dataset, hp: GanHyperparams, rng: np.random.Generator
 ) -> GanModel:
-    """One online round: discriminator on the suite, then the generator.
-
-    Resolves the default generator sample count to max(32, suite size)
-    so the generator sees at least as much noise as there is data.
-    """
-    hp_resolved = hp
-    if hp.gen_samples_per_round is None:
-        hp_resolved = replace(hp, gen_samples_per_round=max(32, len(dataset[0])))
+    """One online round: discriminator on the suite, then the generator."""
     gan = train_discriminator(gan, dataset, hp, rng)
-    return train_generator(gan, hp_resolved, rng)
-
+    return train_generator(gan, hp, rng, suite_size=len(dataset[0]))

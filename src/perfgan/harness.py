@@ -35,7 +35,7 @@ import time
 import typing
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -63,9 +63,7 @@ _RUNNERS = {"random": run_random, "dn": run_dn, "ogan": run_ogan}
 ALGORITHM_KINDS = tuple(_RUNNERS)
 
 TESTS_CSV_HEADER = [
-    "run_id", "algorithm", "seed", "test_index",
-    "big_cpus", "big_freq", "big_util",
-    "little_cpus", "little_freq", "little_util",
+    "run_id", "algorithm", "seed", "test_index", *DIMENSION_ROLES,
     "power_w", "fitness", "inner_iterations", "candidate_trials",
 ]
 
@@ -443,6 +441,14 @@ def summary_to_dict(summary: Summary, cfg: ExperimentConfig) -> dict:
     }
 
 
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> Path:
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def emit_outputs(
     results: list[RunResult], summary: Summary, cfg: ExperimentConfig
 ) -> list[Path]:
@@ -453,29 +459,20 @@ def emit_outputs(
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    tests_path = out / "tests.csv"
-    with tests_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TESTS_CSV_HEADER)
-        for variant in cfg.algorithms:
-            run_id = 0
-            for result in results:
-                if result.algorithm != variant.label:
-                    continue
-                for rec in result.suite.records:
-                    values = cfg.space.physical_values(rec.input)
-                    writer.writerow(
-                        [run_id, variant.label, result.seed, rec.test_index]
-                        + [repr(v) for v in values]
-                        + [
-                            repr(rec.power),
-                            repr(rec.fitness),
-                            rec.inner_iterations,
-                            rec.candidate_trials,
-                        ]
-                    )
-                run_id += 1
-    written.append(tests_path)
+    test_rows = (
+        [run_id, variant.label, result.seed, rec.test_index]
+        + [repr(v) for v in cfg.space.physical_values(rec.input)]
+        + [
+            repr(rec.power),
+            repr(rec.fitness),
+            rec.inner_iterations,
+            rec.candidate_trials,
+        ]
+        for variant in cfg.algorithms
+        for run_id, result in enumerate(r for r in results if r.algorithm == variant.label)
+        for rec in result.suite.records
+    )
+    written.append(_write_csv(out / "tests.csv", TESTS_CSV_HEADER, test_rows))
 
     summary_path = out / "summary.json"
     payload = summary_to_dict(summary, cfg)
@@ -484,25 +481,20 @@ def emit_outputs(
     )
     written.append(summary_path)
 
-    hist_path = out / "histogram.csv"
-    with hist_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["algorithm", "bin_index", "bin_low", "bin_high", "count"])
-        for a in summary.algorithms:
-            bins = len(a.histogram)
-            for j, count in enumerate(a.histogram):
-                writer.writerow(
-                    [a.label, j, repr(j / bins), repr((j + 1) / bins), count]
-                )
-    written.append(hist_path)
+    hist_rows = (
+        [a.label, j, repr(j / len(a.histogram)), repr((j + 1) / len(a.histogram)), count]
+        for a in summary.algorithms
+        for j, count in enumerate(a.histogram)
+    )
+    hist_header = ["algorithm", "bin_index", "bin_low", "bin_high", "count"]
+    written.append(_write_csv(out / "histogram.csv", hist_header, hist_rows))
 
-    sma_path = out / "sma.csv"
-    with sma_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["algorithm", "window_start", "sma_mean_fitness"])
-        for a in summary.algorithms:
-            for j, value in enumerate(a.sma):
-                writer.writerow([a.label, j, repr(value)])
-    written.append(sma_path)
+    sma_rows = (
+        [a.label, j, repr(value)]
+        for a in summary.algorithms
+        for j, value in enumerate(a.sma)
+    )
+    sma_header = ["algorithm", "window_start", "sma_mean_fitness"]
+    written.append(_write_csv(out / "sma.csv", sma_header, sma_rows))
 
     return written

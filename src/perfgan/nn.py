@@ -89,9 +89,6 @@ class Gradients:
 RMSPROP_LEARNING_RATE = 0.001
 RMSPROP_RHO = 0.9
 RMSPROP_EPSILON = 1e-8
-# Elements per slice of the in-place RMSprop kernel (128 kB of float64),
-# so its two temporaries stay in cache however large the network is.
-RMSPROP_SLICE = 16384
 
 
 @dataclass
@@ -261,7 +258,7 @@ class TrainingCopy:
         self.state = NetworkState(state.topology, *_split(self.params, state))
         self.opt = RmspropState(*_split(self.cache, state))
         self.grad_views = _split(self.grads, state)
-        self.scratch = np.empty((2, min(RMSPROP_SLICE, self.params.size)))
+        self.scratch = np.empty((2, self.params.size))
 
     def step(self, trace: Trace, output_grad: np.ndarray) -> None:
         """Backpropagate through `trace`, a pass of `state`, then update."""
@@ -269,19 +266,17 @@ class TrainingCopy:
         self.update()
 
     def update(self) -> None:
-        """One RMSprop step from the gradient buffer, one slice at a time."""
+        """One RMSprop step from the gradient buffer, in place."""
         lr, rho, eps = RMSPROP_LEARNING_RATE, RMSPROP_RHO, RMSPROP_EPSILON
-        for start in range(0, self.params.size, RMSPROP_SLICE):
-            span = slice(start, start + RMSPROP_SLICE)
-            p, g, c = self.params[span], self.grads[span], self.cache[span]
-            t, d = self.scratch[:, : len(p)]
-            # cache <- rho*cache + ((1-rho)*g)*g; the other order of the
-            # products differs in the last bits
-            c *= rho
-            c += np.multiply(np.multiply(g, 1.0 - rho, out=t), g, out=t)
-            # param <- param - (lr*g) / (sqrt(cache) + epsilon)
-            np.add(np.sqrt(c, out=d), eps, out=d)
-            p -= np.divide(np.multiply(g, lr, out=t), d, out=t)
+        p, g, c = self.params, self.grads, self.cache
+        t, d = self.scratch
+        # cache <- rho*cache + ((1-rho)*g)*g; the other order of the
+        # products differs in the last bits
+        c *= rho
+        c += np.multiply(np.multiply(g, 1.0 - rho, out=t), g, out=t)
+        # param <- param - (lr*g) / (sqrt(cache) + epsilon)
+        np.add(np.sqrt(c, out=d), eps, out=d)
+        p -= np.divide(np.multiply(g, lr, out=t), d, out=t)
 
 
 def rmsprop_step(

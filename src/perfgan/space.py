@@ -9,6 +9,7 @@ the continuous encoding maps each index onto an evenly spaced grid in
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -62,7 +63,8 @@ class InputSpace:
         if len(self.dims) != NUM_DIMENSIONS:
             raise ValueError(f"input space needs exactly {NUM_DIMENSIONS} dimensions")
 
-    @property
+    # cached in the instance __dict__, which equality and hashing ignore
+    @functools.cached_property
     def level_counts(self) -> tuple[int, ...]:
         return tuple(len(d.levels) for d in self.dims)
 

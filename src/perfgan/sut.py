@@ -16,8 +16,6 @@ calibrated so positives make up a requested fraction of the space.
 from __future__ import annotations
 
 import math
-import os
-import subprocess
 from dataclasses import dataclass, replace
 from typing import Protocol
 
@@ -156,36 +154,3 @@ def calibrate_gain(
         )
     return calibrated
 
-
-@dataclass(frozen=True)
-class ShellSut:
-    """Adapter running an external command to measure one configuration.
-
-    The command template may reference `{name}` placeholders for each
-    dimension; the same values are also exported as environment
-    variables named after the dimensions (uppercased), on top of the
-    caller's environment (a dimension variable wins a name clash).  The
-    last line of stdout is parsed as the power in watts.  Executions are
-    sequential; a measurement is assumed expensive and stateless.
-    """
-
-    command: str
-
-    def measure(self, space: InputSpace, test_input: TestInput) -> float:
-        values = space.physical_values(test_input)
-        named = {dim.name: value for dim, value in zip(space.dims, values)}
-        env = dict(os.environ)
-        env.update((name.upper(), repr(value)) for name, value in named.items())
-        rendered = self.command.format(**named)
-        proc = subprocess.run(
-            rendered,
-            shell=True,
-            capture_output=True,
-            text=True,
-            check=True,
-            env=env,
-        )
-        lines = [line for line in proc.stdout.splitlines() if line.strip()]
-        if not lines:
-            raise RuntimeError(f"command produced no output: {rendered!r}")
-        return float(lines[-1].strip())

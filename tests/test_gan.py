@@ -202,6 +202,24 @@ class TestTrainGenerator:
         after = train_generator(gan, GanHyperparams(gen_epochs=3), np.random.default_rng(12))
         assert_untouched_and_unshared(before, states_of(gan), (after.generator, after.gen_opt))
 
+    def test_default_draws_32_noise_rows_per_step(self):
+        rng = np.random.default_rng(14)
+        train_generator(fresh_gan(23), GanHyperparams(gen_epochs=3), rng)
+        expected = np.random.default_rng(14)
+        for _ in range(3):
+            expected.uniform(-1.0, 1.0, size=(32, LATENT_DIM))
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("samples, suite_size, rows", [(None, 40, 40), (7, 40, 7)])
+    def test_noise_rows_follow_suite_size_unless_set(self, samples, suite_size, rows):
+        hp = GanHyperparams(gen_epochs=2, gen_samples_per_round=samples)
+        rng = np.random.default_rng(15)
+        train_generator(fresh_gan(24), hp, rng, suite_size=suite_size)
+        expected = np.random.default_rng(15)
+        for _ in range(2):
+            expected.uniform(-1.0, 1.0, size=(rows, LATENT_DIM))
+        assert rng.bit_generator.state == expected.bit_generator.state
+
     def test_one_trace_per_network_per_step(self, monkeypatch):
         # each step runs the generator and the discriminator forward once;
         # backprop reuses those passes

@@ -9,6 +9,11 @@ every network output that decides a proposal, so a change to the
 sampling, training or encoding path that moves a single bit shows up
 here.  An intended change of behaviour must re-record them and say why.
 
+The same short experiment, one run of every default variant, is also
+written to disk through `run_experiment`, and each of its four output
+files is pinned by its sha256, so a change to how the files are written
+shows up too.
+
 The digests were recorded with numpy 2.4 and OpenBLAS 0.3 on x86-64.  A
 different BLAS may round a network output differently and, at an exact
 snap tie or acceptance threshold, pick another test.
@@ -22,7 +27,7 @@ from pathlib import Path
 import pytest
 
 from perfgan.generators import run_dn, run_ogan, run_random
-from perfgan.harness import load_config
+from perfgan.harness import load_config, run_experiment
 from perfgan.rng import derive_run_seed
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -41,6 +46,14 @@ GOLDEN = {
     ),
 }
 RUNNERS = {"random": run_random, "dn": run_dn, "ogan": run_ogan}
+
+# output file -> sha256 of its bytes after one short default experiment
+GOLDEN_FILES = {
+    "tests.csv": "d0fa79ffa08b325b4a406fe0195c555b6fb345daf590eb6c62becf738402ec80",
+    "summary.json": "2566c69d952a4c503e21f82bb5128ba2536f9ccfa325dd0b2c983eb3d4543827",
+    "histogram.csv": "6e5b111f9f344d96432eafd3f891698be2e7d9b3d18dc2a137059a12458d3801",
+    "sma.csv": "5266ee8f964ea25542462324eebb939acc8754d2efb804e2067fbed52e80b245",
+}
 
 
 def suite_digest(suite):
@@ -61,3 +74,17 @@ def test_suite_matches_golden_digest(case):
     suite = RUNNERS[kind](cfg.space, cfg.sut, cfg.fitness, short, seed)
     assert len(suite) == 60
     assert suite_digest(suite) == digest
+
+
+def test_experiment_files_match_golden_digests(tmp_path):
+    cfg = load_config(CONFIG, output_dir=tmp_path)
+    short = [
+        replace(v, config=replace(v.config, budget=60, warmup=50))
+        for v in cfg.algorithms
+    ]
+    run_experiment(replace(cfg, algorithms=short, runs=1))
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_FILES
+    }
+    assert digests == GOLDEN_FILES

@@ -13,7 +13,6 @@ from perfgan.space import (
 from perfgan.sut import (
     CalibrationError,
     FitnessSpec,
-    ShellSut,
     SyntheticSut,
     calibrate_gain,
     fitness,
@@ -194,27 +193,3 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_gain(SyntheticSut(), default_space(), FitnessSpec(), 0.0)
 
-
-class TestShellSut:
-    def test_command_template_and_last_line(self):
-        space = toy_space()
-        sut = ShellSut(command="echo ignored; echo '{big_cpus}'")
-        assert sut.measure(space, (1, 0, 0, 0, 0, 0)) == 4.0
-
-    def test_environment_variables_visible(self):
-        space = toy_space()
-        sut = ShellSut(command='echo "$LITTLE_FREQ"')
-        assert sut.measure(space, (0, 0, 0, 1, 0, 0)) == 800.0
-
-    def test_caller_environment_inherited(self, monkeypatch):
-        monkeypatch.setenv("PERFGAN_SENTINEL", "7.5")
-        monkeypatch.setenv("BIG_CPUS", "caller value")  # the dimension wins
-        space = toy_space()
-        sut = ShellSut(command='test "$BIG_CPUS" = 4.0 && echo "$PERFGAN_SENTINEL"')
-        assert sut.measure(space, (1, 0, 0, 0, 0, 0)) == 7.5
-
-    def test_no_output_raises(self):
-        space = toy_space()
-        sut = ShellSut(command="true")
-        with pytest.raises(RuntimeError):
-            sut.measure(space, (0, 0, 0, 0, 0, 0))
