@@ -1,8 +1,8 @@
 """The dense-network engine: exact gradients and RMSprop.
 
 Builds a small network, verifies the hand-written backward pass against
-central finite differences, steps through the RMSprop recurrence by
-hand, and fits a toy regression.
+central finite differences, steps a one-weight network through RMSprop
+with `rmsprop_step`, and fits a toy regression.
 """
 
 import copy
@@ -10,13 +10,16 @@ import copy
 import numpy as np
 
 from perfgan import (
+    Gradients,
     LayerSpec,
+    NetworkState,
     NetworkTopology,
     RmspropState,
     backward,
     forward,
     init_network,
     loss_mse,
+    rmsprop_step,
     train_epochs,
 )
 
@@ -46,12 +49,15 @@ print(f"dL/dW[0,0]: analytic {analytic:.10f}, finite difference {fd:.10f}, "
 # RMSprop keeps a decaying average of squared gradients per parameter:
 #   cache <- 0.9*cache + 0.1*g^2;  param <- param - lr*g/(sqrt(cache)+eps)
 # First step with g=1 from cache=0: cache=0.1, step = 0.001/sqrt(0.1).
-print("RMSprop scalar recurrence (w=1, g=1 each step):")
-w, cache = 1.0, 0.0
+print("RMSprop on a one-weight network (w=1, g=1 each step):")
+one = NetworkState(NetworkTopology(1, (LayerSpec(1, "linear"),)),
+                   [np.ones((1, 1))], [np.zeros(1)])
+one_opt = RmspropState.for_network(one)
+unit_grad = Gradients([np.ones((1, 1))], [np.zeros(1)], np.zeros((1, 1)))
 for step in range(1, 4):
-    cache = 0.9 * cache + 0.1 * 1.0
-    w -= 0.001 / (np.sqrt(cache) + 1e-8)
-    print(f"  step {step}: cache={cache:.4f} w={w:.8f}")
+    one, one_opt = rmsprop_step(one, unit_grad, one_opt)
+    print(f"  step {step}: cache={one_opt.weight_cache[0][0, 0]:.4f} "
+          f"w={one.weights[0][0, 0]:.8f}")
 
 # Fit y = x0*x1 on a handful of points; the loss falls monotonically
 # enough for a demo.

@@ -131,15 +131,19 @@ def train_generator(
     place on the `TrainingCopy` made on entry; `gan` is not mutated.  The
     frozen discriminator only relays its input gradient, and the
     generator's gradient with respect to the noise is never computed.
+    Both passes write into arrays the training copy owns for this call,
+    one set for the generator and one for the frozen discriminator; no
+    loss is computed.
     """
     n = hp.gen_samples_per_round or max(32, suite_size)
     own = TrainingCopy(gan.generator, gan.gen_opt)
+    gen, disc = own.arrays(own.state, n), own.arrays(gan.discriminator, n)
     ones = np.ones((n, 1))
     for _ in range(hp.gen_epochs):
         noise = rng.uniform(-1.0, 1.0, size=(n, LATENT_DIM))
-        gen_trace = forward_trace(own.state, noise)
-        disc_trace = forward_trace(gan.discriminator, gen_trace.output)
-        own.step(gen_trace, disc_trace.input_grad(disc_trace.mse_grad(ones)[1]))
+        forward_trace(own.state, noise, out=gen.trace)
+        forward_trace(gan.discriminator, gen.trace.output, out=disc.trace)
+        own.step(gen, disc.relay(ones))
     return replace(gan, generator=own.state, gen_opt=own.opt)
 
 

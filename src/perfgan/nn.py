@@ -9,10 +9,18 @@ trace.  Backward computes only what its caller reads: parameter
 gradients, or the gradient with respect to the *inputs*, which is what
 lets a generator train through a frozen downstream network, or both.
 
+One forward kernel (`forward_trace`) and one backward kernel
+(`_backward`) write into the arrays they are given.  The public calls
+(`forward`, `forward_trace`, `backward` and the `Trace` methods) hand
+them fresh arrays.  A training call owns one copy of its network and
+RMSprop cache (`TrainingCopy`), made on entry and updated in place, and
+the arrays its steps write: one `StepArrays` set per network and batch
+size, built on first use and dropped with the call, so a step allocates
+nothing.  Training computes its loss in the last epoch only.
+
 All state is float64.  Public calls never mutate their arguments, so
 "this phase did not touch that network" is checkable by object identity
-or bit-level equality.  A training call owns one copy of its network and
-RMSprop cache (`TrainingCopy`), made on entry, and updates it in place.
+or bit-level equality.
 """
 
 from __future__ import annotations
@@ -117,22 +125,6 @@ def init_network(topology: NetworkTopology, rng: np.random.Generator) -> Network
     return NetworkState(topology=topology, weights=weights, biases=biases)
 
 
-def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    return z
-
-
-def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    return np.ones_like(z)
-
-
 def _check_inputs(state: NetworkState, inputs: np.ndarray) -> np.ndarray:
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != state.topology.input_dim:
@@ -146,7 +138,9 @@ def _check_inputs(state: NetworkState, inputs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trace:
-    """One forward pass; zs[l] and activations[l + 1] belong to layer l."""
+    """One forward pass; zs[l] and activations[l + 1] belong to layer l
+    (the same array for a linear layer).  Its public backward methods
+    write into fresh arrays, so results never alias one another."""
 
     state: NetworkState
     zs: list[np.ndarray]
@@ -158,55 +152,115 @@ class Trace:
 
     def mse_grad(self, targets: np.ndarray) -> tuple[float, np.ndarray]:
         """loss_mse of the output against `targets`, and dL/d(output)."""
-        diff = self.output - targets
-        return float(np.mean(diff * diff)), 2.0 * diff / diff.size
+        grad = np.empty_like(self.output)
+        return float(_mse_grad(self.output, targets, grad, np.empty_like(grad))), grad
 
     def backward(self, output_grad: np.ndarray) -> Gradients:
         """Backpropagate an upstream dL/d(output); feeding one network's
         input gradient in here trains an upstream network through it."""
         weight_grads = [np.empty_like(w) for w in self.state.weights]
         bias_grads = [np.empty_like(b) for b in self.state.biases]
-        input_grad = self._backward(output_grad, weight_grads, bias_grads, True)
+        input_grad = self._fresh_backward(output_grad, (weight_grads, bias_grads), True)
         return Gradients(weight_grads, bias_grads, input_grad)
 
     def parameter_grads(self, output_grad, weight_grads: list, bias_grads: list) -> None:
         """Only the parameter gradients, written into the given arrays."""
-        self._backward(output_grad, weight_grads, bias_grads, False)
+        self._fresh_backward(output_grad, (weight_grads, bias_grads), False)
 
     def input_grad(self, output_grad: np.ndarray) -> np.ndarray:
         """Only the input gradient, which a frozen network relays upstream."""
-        return self._backward(output_grad, None, None, True)
+        return self._fresh_backward(output_grad, None, True)
 
-    # weight_grads None skips the parameter gradients; want_input False
-    # skips layer 0's input gradient, which only a frozen network relays
-    def _backward(self, output_grad, weight_grads, bias_grads, want_input):
+    def _fresh_backward(self, output_grad, param_grads, want_input):
         grad = np.asarray(output_grad, dtype=np.float64)
         if grad.shape != self.output.shape:
             raise ValueError(
                 f"output_grad must be {self.output.shape}, got {grad.shape}"
             )
-        state, zs, activations = self.state, self.zs, self.activations
-        for l in range(len(state.weights) - 1, -1, -1):
-            layer = state.topology.layers[l]
-            dz = grad * _activation_grad(layer.activation, zs[l], activations[l + 1])
-            if weight_grads is not None:
-                np.matmul(activations[l].T, dz, out=weight_grads[l])
-                np.sum(dz, axis=0, out=bias_grads[l])
-            if l > 0 or want_input:
-                grad = dz @ state.weights[l].T
-        return grad
+        return _backward(self, grad, param_grads, want_input, *_backward_arrays(self))
 
 
-def forward_trace(state: NetworkState, inputs: np.ndarray) -> Trace:
-    """Forward pass over a float64 (batch, input_dim) array, unchecked:
-    callers validate their inputs once, not per minibatch."""
-    zs: list[np.ndarray] = []
-    activations = [inputs]
-    for layer, w, b in zip(state.topology.layers, state.weights, state.biases):
-        z = activations[-1] @ w + b
-        zs.append(z)
-        activations.append(_apply_activation(layer.activation, z))
+def _new_trace(state: NetworkState, inputs: np.ndarray) -> Trace:
+    """A trace of `state` over `inputs` with fresh, unwritten layer arrays."""
+    zs, activations = [], [inputs]
+    for layer in state.topology.layers:
+        zs.append(np.empty((len(inputs), layer.units)))
+        activations.append(zs[-1] if layer.activation == "linear" else np.empty_like(zs[-1]))
     return Trace(state, zs, activations)
+
+
+def _backward_arrays(trace: Trace) -> tuple[list, list]:
+    """Fresh arrays for a backward pass through `trace`: dL/dz per layer
+    (None for a linear layer, whose dz is its upstream gradient) and
+    dL/d(input) per layer."""
+    dzs = [
+        None if layer.activation == "linear" else np.empty_like(z)
+        for layer, z in zip(trace.state.topology.layers, trace.zs)
+    ]
+    return dzs, [np.empty_like(a) for a in trace.activations[:-1]]
+
+
+def forward_trace(state: NetworkState, inputs: np.ndarray, out: Trace | None = None) -> Trace:
+    """Forward pass over a float64 (batch, input_dim) array, unchecked:
+    callers validate their inputs once, not per minibatch.
+
+    The pass is written into fresh arrays, or into `out`, an earlier
+    trace of `state` at this batch size (a training call reuses its own)."""
+    trace = _new_trace(state, inputs) if out is None else out
+    activations = trace.activations
+    activations[0] = inputs
+    for layer, w, b, z, a, out_a in zip(
+        state.topology.layers, state.weights, state.biases, trace.zs, activations, activations[1:]
+    ):
+        # np.dot: the BLAS call of `@`, bit for bit, with less overhead
+        np.dot(a, w, out=z)
+        z += b
+        if layer.activation == "tanh":
+            np.tanh(z, out=out_a)
+        elif layer.activation == "relu":
+            np.maximum(z, 0.0, out=out_a)
+    return trace
+
+
+def _mse_grad(output, targets, grad: np.ndarray, sq: np.ndarray | None):
+    """Writes dL/d(output) of loss_mse into `grad`; returns the loss,
+    computed in `sq`, or None when `sq` is None."""
+    np.subtract(output, targets, out=grad)
+    loss = None
+    if sq is not None:
+        np.multiply(grad, grad, out=sq)
+        loss = np.add.reduce(sq, axis=None) / grad.size
+    # 2*diff, then /size: the results' last bits depend on this order
+    grad *= 2.0
+    grad /= grad.size
+    return loss
+
+
+def _backward(trace: Trace, grad, param_grads, want_input, dzs, input_grads):
+    """Reverse layer loop over `trace`, into the given arrays.
+
+    `param_grads` is (weight_grads, bias_grads), or None to skip them;
+    want_input False skips layer 0's input gradient, which only a frozen
+    network relays.  Returns the last input gradient computed."""
+    state, zs, activations = trace.state, trace.zs, trace.activations
+    for l in range(len(state.weights) - 1, -1, -1):
+        activation, dz = state.topology.layers[l].activation, dzs[l]
+        if activation == "tanh":
+            # grad * (1 - a*a)
+            np.multiply(activations[l + 1], activations[l + 1], out=dz)
+            np.subtract(1.0, dz, out=dz)
+            dz *= grad
+        elif activation == "relu":
+            np.greater(zs[l], 0.0, out=dz, casting="unsafe")
+            dz *= grad
+        else:
+            dz = grad
+        if param_grads is not None:
+            np.dot(activations[l].T, dz, out=param_grads[0][l])
+            np.add.reduce(dz, axis=0, out=param_grads[1][l])
+        if l > 0 or want_input:
+            grad = np.dot(dz, state.weights[l].T, out=input_grads[l])
+    return grad
 
 
 def forward(state: NetworkState, inputs: np.ndarray) -> np.ndarray:
@@ -246,10 +300,29 @@ def _split(flat: np.ndarray, state: NetworkState) -> tuple[list, list]:
     return views[: len(state.weights)], views[len(state.weights) :]
 
 
+class StepArrays:
+    """A training call's arrays for one network at one batch size, reused
+    by every step: the forward trace, the backward pass's arrays, and the
+    batch's inputs, targets, output gradient and squared error."""
+
+    def __init__(self, state: NetworkState, rows: int) -> None:
+        self.inputs = np.empty((rows, state.topology.input_dim))
+        self.trace = _new_trace(state, self.inputs)
+        self.dzs, self.input_grads = _backward_arrays(self.trace)
+        self.targets, self.grad, self.sq = np.empty((3, rows, state.topology.output_dim))
+
+    def relay(self, targets: np.ndarray) -> np.ndarray:
+        """dL/d(inputs) of loss_mse(output, targets), which a frozen
+        network passes upstream."""
+        _mse_grad(self.trace.output, targets, self.grad, None)
+        return _backward(self.trace, self.grad, None, True, self.dzs, self.input_grads)
+
+
 class TrainingCopy:
     """A training call's own copy of a network and its RMSprop cache, made
     on entry: parameters, cache and gradients are one float64 vector each,
-    with per-layer views, so every step updates in place."""
+    with per-layer views, so every step updates in place.  It also owns
+    the call's `StepArrays`, one set per network and batch size."""
 
     def __init__(self, state: NetworkState, opt: RmspropState) -> None:
         self.params = _flat_copy(state.weights + state.biases)
@@ -259,10 +332,21 @@ class TrainingCopy:
         self.opt = RmspropState(*_split(self.cache, state))
         self.grad_views = _split(self.grads, state)
         self.scratch = np.empty((2, self.params.size))
+        self.step_arrays: dict[tuple[int, int], StepArrays] = {}
 
-    def step(self, trace: Trace, output_grad: np.ndarray) -> None:
-        """Backpropagate through `trace`, a pass of `state`, then update."""
-        trace.parameter_grads(output_grad, *self.grad_views)
+    def arrays(self, state: NetworkState, rows: int) -> StepArrays:
+        """The arrays for `state` (this copy's or a frozen network) at
+        `rows` rows, built on first use."""
+        key = (id(state), rows)
+        if key not in self.step_arrays:
+            self.step_arrays[key] = StepArrays(state, rows)
+        return self.step_arrays[key]
+
+    def step(self, arrays: StepArrays, output_grad: np.ndarray) -> None:
+        """Backpropagate through `arrays.trace`, a pass of `state`, then update."""
+        _backward(
+            arrays.trace, output_grad, self.grad_views, False, arrays.dzs, arrays.input_grads
+        )
         self.update()
 
     def update(self) -> None:
@@ -301,9 +385,11 @@ def train_epochs(
     """Minibatch RMSprop training; returns the last epoch's mean loss.
 
     Each epoch reshuffles with `rng` and sweeps consecutive minibatches
-    (final short batch included).  Losses are recorded before each
-    update; the returned loss is the sample-weighted mean over the last
-    epoch, or the untouched model's loss when epochs == 0.
+    (final short batch included).  The loss is computed in the last
+    epoch only, before each of its updates; the returned loss is the
+    sample-weighted mean over that epoch, or the untouched model's loss
+    when epochs == 0.  Steps write into the call's own arrays, one set
+    for `minibatch` rows and one for a short final batch.
     """
     inputs, targets = dataset
     x = _check_inputs(state, inputs)
@@ -321,15 +407,21 @@ def train_epochs(
         return state, opt, loss_mse(forward_trace(state, x).output, t)
 
     own = TrainingCopy(state, opt)
-    epoch_loss = 0.0
-    for _ in range(epochs):
+    total = 0.0
+    for epoch in range(epochs):
         perm = rng.permutation(n)
-        total = 0.0
+        last = epoch == epochs - 1
         for start in range(0, n, minibatch):
             batch = perm[start : start + minibatch]
-            trace = forward_trace(own.state, x[batch])
-            loss, output_grad = trace.mse_grad(t[batch])
-            total += loss * len(batch)
-            own.step(trace, output_grad)
-        epoch_loss = total / n
-    return own.state, own.opt, epoch_loss
+            arrays = own.arrays(own.state, len(batch))
+            # "clip" writes unbuffered; a permutation's indices are in range
+            x.take(batch, 0, arrays.inputs, "clip")
+            trace = forward_trace(own.state, arrays.inputs, out=arrays.trace)
+            t.take(batch, 0, arrays.targets, "clip")
+            loss = _mse_grad(
+                trace.output, arrays.targets, arrays.grad, arrays.sq if last else None
+            )
+            if last:
+                total += loss * len(batch)
+            own.step(arrays, arrays.grad)
+    return own.state, own.opt, float(total / n)

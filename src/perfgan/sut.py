@@ -69,10 +69,12 @@ class SyntheticSut:
         return self.p_idle + self.gain * (big + little)
 
     def power_grid(self, space: InputSpace) -> np.ndarray:
-        """Power for every configuration, flat in enumeration order."""
-        return self.p_idle + self.gain * _dynamic_grid(
-            space, self.kappa_big, self.kappa_little
-        )
+        """Power for every configuration, flat in enumeration order; the
+        one grid is scaled in place."""
+        grid = _dynamic_grid(space, self.kappa_big, self.kappa_little)
+        grid *= self.gain
+        grid += self.p_idle
+        return grid
 
 
 def _freq_ratio_cubed(f: float, f_max: float) -> float:
@@ -139,14 +141,19 @@ def calibrate_gain(
         raise CalibrationError(
             f"threshold {spec.p_m} not above idle power {sut.p_idle}"
         )
+    # one grid: partitioned in place, then scaled in place into the powers
+    # (power_grid's order) to count the achieved density
     dynamic = _dynamic_grid(space, sut.kappa_big, sut.kappa_little)
     n = dynamic.size
     want = max(1, round(target_density * n))
-    kth = float(np.partition(dynamic, n - want)[n - want])
+    dynamic.partition(n - want)
+    kth = float(dynamic[n - want])
     if kth <= 0:
         raise CalibrationError("space has too little dynamic-power variation")
     calibrated = replace(sut, gain=headroom / kth)
-    achieved = positive_density(calibrated, space, spec)
+    dynamic *= calibrated.gain
+    dynamic += calibrated.p_idle
+    achieved = np.count_nonzero(dynamic >= spec.p_m) / n
     if not 0.5 * target_density <= achieved <= 2.0 * target_density:
         raise CalibrationError(
             f"achieved density {achieved:.5f} outside "

@@ -226,9 +226,9 @@ class TestTrainGenerator:
         real = perfgan.nn.forward_trace
         traced = []
 
-        def counting(state, inputs):
+        def counting(state, inputs, **kwargs):
             traced.append(state.topology)
-            return real(state, inputs)
+            return real(state, inputs, **kwargs)
 
         for module in (perfgan.nn, perfgan.gan):
             monkeypatch.setattr(module, "forward_trace", counting)

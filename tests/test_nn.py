@@ -408,9 +408,9 @@ class TestTrainEpochs:
         real = nn.forward_trace
         batch_sizes = []
 
-        def counting(state, inputs):
+        def counting(state, inputs, **kwargs):
             batch_sizes.append(len(inputs))
-            return real(state, inputs)
+            return real(state, inputs, **kwargs)
 
         monkeypatch.setattr(nn, "forward_trace", counting)
         net = make_net(3, [(5, "tanh"), (2, "linear")], seed=8)
@@ -439,3 +439,176 @@ class TestTrainEpochs:
         trained, _, _ = train_epochs(net, (x, y), opt, 3, 4, np.random.default_rng(5))
         for w0, w1 in zip(net.weights, trained.weights):
             assert w0.shape == w1.shape
+
+
+def reference_forward(state, x):
+    """The allocation-based forward pass the in-place kernel replaced."""
+    zs, activations = [], [x]
+    for layer, w, b in zip(state.topology.layers, state.weights, state.biases):
+        z = activations[-1] @ w + b
+        zs.append(z)
+        if layer.activation == "tanh":
+            activations.append(np.tanh(z))
+        elif layer.activation == "relu":
+            activations.append(np.maximum(z, 0.0))
+        else:
+            activations.append(z)
+    return zs, activations
+
+
+def reference_backward(state, zs, activations, grad, want_input):
+    """The allocation-based backward pass: parameter gradients, and the
+    input gradient when `want_input`."""
+    weight_grads, bias_grads = [None] * len(zs), [None] * len(zs)
+    for l in range(len(zs) - 1, -1, -1):
+        activation = state.topology.layers[l].activation
+        if activation == "tanh":
+            local = 1.0 - activations[l + 1] * activations[l + 1]
+        elif activation == "relu":
+            local = (zs[l] > 0.0).astype(np.float64)
+        else:
+            local = np.ones_like(zs[l])
+        dz = grad * local
+        weight_grads[l] = activations[l].T @ dz
+        bias_grads[l] = np.sum(dz, axis=0)
+        if l > 0 or want_input:
+            grad = dz @ state.weights[l].T
+    return Gradients(weight_grads, bias_grads, grad)
+
+
+def reference_mse_grad(output, targets):
+    diff = output - targets
+    return float(np.mean(diff * diff)), 2.0 * diff / diff.size
+
+
+def reference_train_epochs(state, dataset, opt, epochs, minibatch, rng):
+    x, t = dataset
+    n = len(x)
+    epoch_loss = 0.0
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, minibatch):
+            batch = perm[start : start + minibatch]
+            zs, activations = reference_forward(state, x[batch])
+            loss, output_grad = reference_mse_grad(activations[-1], t[batch])
+            total += loss * len(batch)
+            grads = reference_backward(state, zs, activations, output_grad, False)
+            state, opt = reference_rmsprop_step(state, grads, opt)
+        epoch_loss = total / n
+    return state, opt, epoch_loss
+
+
+def reference_train_generator(gan_model, hp, rng, suite_size):
+    from perfgan.gan import LATENT_DIM
+
+    n = hp.gen_samples_per_round or max(32, suite_size)
+    gen, opt, disc = gan_model.generator, gan_model.gen_opt, gan_model.discriminator
+    for _ in range(hp.gen_epochs):
+        noise = rng.uniform(-1.0, 1.0, size=(n, LATENT_DIM))
+        gen_zs, gen_acts = reference_forward(gen, noise)
+        disc_zs, disc_acts = reference_forward(disc, gen_acts[-1])
+        _, output_grad = reference_mse_grad(disc_acts[-1], np.ones((n, 1)))
+        relay = reference_backward(disc, disc_zs, disc_acts, output_grad, True).input_grad
+        grads = reference_backward(gen, gen_zs, gen_acts, relay, False)
+        gen, opt = reference_rmsprop_step(gen, grads, opt)
+    return gen, opt
+
+
+ACTIVATION_NAMES = st.sampled_from(["tanh", "relu", "linear"])
+
+
+def mixed_layers(max_layers=4):
+    return st.lists(st.tuples(st.integers(1, 9), ACTIVATION_NAMES), min_size=1, max_size=max_layers)
+
+
+@st.composite
+def training_case(draw):
+    """A network of mixed layers and a dataset whose size is below, equal
+    to, a multiple of, or not a multiple of the minibatch."""
+    input_dim = draw(st.integers(1, 6))
+    specs = draw(mixed_layers())
+    minibatch = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["below", "equal", "multiple", "ragged"]))
+    n = {
+        "below": draw(st.integers(1, minibatch - 1)),
+        "equal": minibatch,
+        "multiple": minibatch * draw(st.integers(2, 4)),
+        "ragged": minibatch * draw(st.integers(1, 3)) + draw(st.integers(1, minibatch - 1)),
+    }[kind]
+    seed = draw(st.integers(0, 2**16))
+    data = np.random.default_rng(seed)
+    dataset = (
+        data.uniform(-1, 1, (n, input_dim)),
+        data.uniform(-1, 1, (n, specs[-1][0])),
+    )
+    net = make_net(input_dim, specs, seed=seed)
+    return net, dataset, draw(st.integers(1, 3)), minibatch, seed
+
+
+def assert_same_training(got, want, rng, ref_rng):
+    for a, b in zip(arrays_of(*got[:2]), arrays_of(*want[:2]), strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestTrainingKernel:
+    """The in-place training steps against the allocation-based loop,
+    bit for bit."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(training_case())
+    def test_train_epochs_matches_reference_loop(self, case):
+        net, dataset, epochs, minibatch, seed = case
+        # a nonzero cache, so the update reads the one passed in
+        net, opt, _ = reference_train_epochs(
+            net, dataset, RmspropState.for_network(net), 1, minibatch,
+            np.random.default_rng(seed),
+        )
+        rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got = train_epochs(net, dataset, opt, epochs, minibatch, rng)
+        want = reference_train_epochs(net, dataset, opt, epochs, minibatch, ref_rng)
+        assert_same_training(got, want, rng, ref_rng)
+        assert got[2] == want[2]
+
+    @settings(deadline=None, max_examples=30)
+    @given(mixed_layers(3), mixed_layers(3), st.integers(1, 3), st.integers(1, 40),
+           st.integers(0, 2**16))
+    def test_train_generator_matches_reference_loop(
+        self, gen_specs, disc_specs, epochs, rows, seed
+    ):
+        from perfgan.gan import LATENT_DIM, GanHyperparams, GanModel, train_generator
+
+        gen = make_net(LATENT_DIM, gen_specs, seed=seed)
+        disc = make_net(gen_specs[-1][0], disc_specs + [(1, "relu")], seed=seed + 1)
+        opt = RmspropState.for_network(gen)
+        opt.weight_cache[0][:] = 0.5
+        model = GanModel(gen, disc, opt, RmspropState.for_network(disc))
+        hp = GanHyperparams(gen_epochs=epochs, gen_samples_per_round=rows)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = train_generator(model, hp, rng)
+        want = reference_train_generator(model, hp, ref_rng, 0)
+        assert_same_training((got.generator, got.gen_opt), want, rng, ref_rng)
+
+    def test_buffers_live_only_for_one_call(self):
+        net = make_net(3, [(5, "tanh"), (4, "relu"), (2, "linear")], seed=8)
+        data = np.random.default_rng(3)
+        x, y = data.uniform(-1, 1, (10, 3)), data.uniform(-1, 1, (10, 2))
+        opt = RmspropState.for_network(net)
+        probe = forward_trace(net, x)
+        before = [a.copy() for a in probe.zs + probe.activations]
+        results = [
+            train_epochs(net, (x, y), opt, 3, 4, np.random.default_rng(5)) for _ in range(2)
+        ]
+        (first, first_opt, first_loss), (second, second_opt, second_loss) = results
+        assert first_loss == second_loss
+        for a, b in zip(arrays_of(first, first_opt), arrays_of(second, second_opt), strict=True):
+            assert a.tobytes() == b.tobytes()
+        arguments = arrays_of(net, opt) + [x, y]
+        for a in arrays_of(first, first_opt):
+            others = arrays_of(second, second_opt) + arguments
+            assert not any(np.shares_memory(a, b) for b in others)
+        for a in arrays_of(second, second_opt):
+            assert not any(np.shares_memory(a, b) for b in arguments)
+        for saved, array in zip(before, probe.zs + probe.activations, strict=True):
+            assert saved.tobytes() == array.tobytes()

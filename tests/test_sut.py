@@ -1,5 +1,7 @@
 """Synthetic power model, fitness mapping, oracle and calibration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from perfgan.sut import (
     FitnessSpec,
     SyntheticSut,
     calibrate_gain,
+    _dynamic_grid,
     fitness,
+    oracle_positive_count,
     oracle_positive_set,
     positive_density,
 )
@@ -77,6 +81,33 @@ class TestMeasure:
         for r in rng.integers(0, cardinality(space), size=200):
             t = unrank(space, int(r))
             assert grid[int(r)] == pytest.approx(sut.measure(space, t), abs=1e-12)
+
+    def test_grid_is_idle_plus_gain_times_dynamic_bit_for_bit(self):
+        sut = SyntheticSut(p_idle=0.7, kappa_little=0.2, gain=2.0046654031199886)
+        space = default_space()
+        want = sut.p_idle + sut.gain * _dynamic_grid(space, sut.kappa_big, sut.kappa_little)
+        assert sut.power_grid(space).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sut, space: calibrate_gain(sut, space, FitnessSpec(), 0.01),
+            lambda sut, space: oracle_positive_count(sut, space, FitnessSpec()),
+            lambda sut, space: sut.power_grid(space),
+        ],
+        ids=["calibrate_gain", "oracle_positive_count", "power_grid"],
+    )
+    def test_builds_one_full_grid(self, call):
+        # peak traced memory, in multiples of one float64 grid of the space
+        sut, space = SyntheticSut(), default_space()
+        call(sut, space)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            call(sut, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * cardinality(space)
 
     def test_constants_must_be_positive(self):
         with pytest.raises(ValueError):
