@@ -14,8 +14,8 @@ import argparse
 import logging
 import sys
 from dataclasses import replace
-from importlib.metadata import PackageNotFoundError, version
 
+from . import __version__
 from .harness import (
     ALGORITHM_KINDS,
     ConfigError,
@@ -26,19 +26,12 @@ from .space import cardinality
 from .sut import oracle_positive_count
 
 
-def _package_version() -> str:
-    try:
-        return version("perfgan")
-    except PackageNotFoundError:
-        return "unknown"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perfgan",
         description="Budgeted performance-test generation against a synthetic power model.",
     )
-    parser.add_argument("--version", action="version", version=_package_version())
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     compare = sub.add_parser("compare", help="run all configured algorithm variants")

@@ -31,6 +31,7 @@ import csv
 import functools
 import json
 import logging
+import sys
 import time
 import typing
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
@@ -177,9 +178,12 @@ def _require(mapping: dict, key: str, path: str) -> Any:
 
 
 def _as_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    # json.loads also gives Infinity, NaN and integers beyond any float;
+    # NaN fails the comparison, and it is exact for an integer
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
 def _as_int(value: Any, path: str) -> int:

@@ -5,18 +5,18 @@ and a 3x8 discriminator with a relu output), so there is no autograd
 graph: each network is a plain list of weight matrices and bias vectors.
 A training step runs each network forward once (`forward_trace`); the
 loss and the hand-written reverse-mode backward pass both read that
-trace.  Backward computes only what its caller reads: parameter
-gradients, or the gradient with respect to the *inputs*, which is what
-lets a generator train through a frozen downstream network, or both.
+trace.  Backward also gives the gradient with respect to the *inputs*,
+which lets a generator train through a frozen downstream network.
 
 One forward kernel (`forward_trace`) and one backward kernel
 (`_backward`) write into the arrays they are given.  The public calls
-(`forward`, `forward_trace`, `backward` and the `Trace` methods) hand
-them fresh arrays.  A training call owns one copy of its network and
-RMSprop cache (`TrainingCopy`), made on entry and updated in place, and
-the arrays its steps write: one `StepArrays` set per network and batch
-size, built on first use and dropped with the call, so a step allocates
-nothing.  Training computes its loss in the last epoch only.
+(`forward`, `forward_trace`, `backward` and `Trace.backward`) hand them
+fresh arrays.  A training call owns a copy of its network and RMSprop
+cache (`TrainingCopy`), made on entry and updated in place, and one
+`StepArrays` set per network and batch size, so a step allocates
+nothing.  It computes only what it reads: parameter gradients of the
+trained network (`TrainingCopy.step`), the input gradient of a frozen
+one (`StepArrays.relay`), and the loss in the last epoch only.
 
 All state is float64.  Public calls never mutate their arguments, so
 "this phase did not touch that network" is checkable by object identity
@@ -139,8 +139,8 @@ def _check_inputs(state: NetworkState, inputs: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Trace:
     """One forward pass; zs[l] and activations[l + 1] belong to layer l
-    (the same array for a linear layer).  Its public backward methods
-    write into fresh arrays, so results never alias one another."""
+    (the same array for a linear layer).  `backward` writes into fresh
+    arrays, so its results never alias one another."""
 
     state: NetworkState
     zs: list[np.ndarray]
@@ -150,34 +150,17 @@ class Trace:
     def output(self) -> np.ndarray:
         return self.activations[-1]
 
-    def mse_grad(self, targets: np.ndarray) -> tuple[float, np.ndarray]:
-        """loss_mse of the output against `targets`, and dL/d(output)."""
-        grad = np.empty_like(self.output)
-        return float(_mse_grad(self.output, targets, grad, np.empty_like(grad))), grad
-
     def backward(self, output_grad: np.ndarray) -> Gradients:
         """Backpropagate an upstream dL/d(output); feeding one network's
         input gradient in here trains an upstream network through it."""
-        weight_grads = [np.empty_like(w) for w in self.state.weights]
-        bias_grads = [np.empty_like(b) for b in self.state.biases]
-        input_grad = self._fresh_backward(output_grad, (weight_grads, bias_grads), True)
-        return Gradients(weight_grads, bias_grads, input_grad)
-
-    def parameter_grads(self, output_grad, weight_grads: list, bias_grads: list) -> None:
-        """Only the parameter gradients, written into the given arrays."""
-        self._fresh_backward(output_grad, (weight_grads, bias_grads), False)
-
-    def input_grad(self, output_grad: np.ndarray) -> np.ndarray:
-        """Only the input gradient, which a frozen network relays upstream."""
-        return self._fresh_backward(output_grad, None, True)
-
-    def _fresh_backward(self, output_grad, param_grads, want_input):
         grad = np.asarray(output_grad, dtype=np.float64)
         if grad.shape != self.output.shape:
-            raise ValueError(
-                f"output_grad must be {self.output.shape}, got {grad.shape}"
-            )
-        return _backward(self, grad, param_grads, want_input, *_backward_arrays(self))
+            raise ValueError(f"output_grad must be {self.output.shape}, got {grad.shape}")
+        weight_grads = [np.empty_like(w) for w in self.state.weights]
+        bias_grads = [np.empty_like(b) for b in self.state.biases]
+        input_grad = _backward(self, grad, (weight_grads, bias_grads), True,
+                               *_backward_arrays(self))
+        return Gradients(weight_grads, bias_grads, input_grad)
 
 
 def _new_trace(state: NetworkState, inputs: np.ndarray) -> Trace:
@@ -284,7 +267,9 @@ def backward(state: NetworkState, inputs: np.ndarray, targets: np.ndarray) -> Gr
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != trace.output.shape:
         raise ValueError(f"targets must be {trace.output.shape}, got {t.shape}")
-    return trace.backward(trace.mse_grad(t)[1])
+    grad = np.empty_like(trace.output)
+    _mse_grad(trace.output, t, grad, None)
+    return trace.backward(grad)
 
 
 def _flat_copy(arrays: list[np.ndarray]) -> np.ndarray:

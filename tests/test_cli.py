@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import perfgan
 from perfgan.cli import main
 
 
@@ -41,7 +42,7 @@ def test_version_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert capsys.readouterr().out.strip()
+    assert capsys.readouterr().out.strip() == perfgan.__version__
 
 
 def test_help_exits_zero():
@@ -141,6 +142,19 @@ def test_target_density_out_of_range_is_config_error(tmp_path, capsys):
     )
     assert main(["oracle", "--config", str(config)]) == 1
     assert "config error: sut.target_density" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_non_finite_number_is_config_error(tmp_path, capsys, command):
+    config = write_config(
+        tmp_path, sut={"p_idle": 0.5, "kappa_big": 1.0, "kappa_little": 0.15,
+                       "gain": float("inf")},
+    )
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config)]
+    assert main(argv + (["--out", str(out)] if command == "compare" else [])) == 1
+    assert "config error: sut.gain" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_exits_one(tmp_path):

@@ -1,6 +1,7 @@
 """Experiment runner: config loading, statistics, output files."""
 
 import json
+import re
 import typing
 from dataclasses import MISSING, fields, is_dataclass, replace
 
@@ -120,6 +121,15 @@ class TestHistogram:
             histogram([1.1], 10)
         with pytest.raises(ValueError):
             histogram([-0.1], 10)
+
+
+# field path in error messages -> (its JSON container, key or index in it)
+NUMBER_FIELDS = {
+    "sut.gain": (lambda raw: raw["sut"], "gain"),
+    "sut.p_idle": (lambda raw: raw["sut"], "p_idle"),
+    "space[1].levels": (lambda raw: raw["space"][1]["levels"], 0),
+    "fitness.p_m": (lambda raw: raw["fitness"], "p_m"),
+}
 
 
 class TestConfigLoading:
@@ -254,6 +264,17 @@ class TestConfigLoading:
         cfg = load_config(write_config(tmp_path))
         with pytest.raises(ConfigError, match=f"^{key}: "):
             replace(cfg, **{key: value})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["Infinity", "NaN"])
+    @pytest.mark.parametrize("field", NUMBER_FIELDS)
+    def test_non_finite_number_rejected(self, tmp_path, field, value):
+        section, key = NUMBER_FIELDS[field]
+        raw = config_dict()
+        section(raw)[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)}: expected a finite number"):
+            load_config(path)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "nope.json"

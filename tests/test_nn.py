@@ -227,19 +227,42 @@ class TestBackward:
         ids=["generator", "discriminator"],
     )
     def test_partial_backwards_match_full_bit_for_bit(self, input_dim, specs):
+        # training's partial paths against public Trace.backward
         net = make_net(input_dim, specs, seed=12)
         rng = np.random.default_rng(13)
-        trace = forward_trace(net, rng.uniform(-1, 1, (40, input_dim)))
-        output_grad = rng.normal(size=trace.output.shape)
+        x = rng.uniform(-1, 1, (40, input_dim))
+        output_grad = rng.normal(size=(40, specs[-1][0]))
+        targets = rng.uniform(-1, 1, (40, specs[-1][0]))
+        trace = forward_trace(net, x)
         full = trace.backward(output_grad)
-        # parameter gradients land in a training copy's flat buffer
-        weight_grads, bias_grads = nn.TrainingCopy(
-            net, RmspropState.for_network(net)
-        ).grad_views
-        trace.parameter_grads(output_grad, weight_grads, bias_grads)
+        # TrainingCopy.step leaves its parameter gradients in grad_views
+        own = nn.TrainingCopy(net, RmspropState.for_network(net))
+        arrays = own.arrays(own.state, 40)
+        arrays.inputs[:] = x
+        forward_trace(own.state, arrays.inputs, out=arrays.trace)
+        own.step(arrays, output_grad)
+        weight_grads, bias_grads = own.grad_views
         for a, b in zip(full.weight_grads + full.bias_grads, weight_grads + bias_grads):
             assert a.tobytes() == b.tobytes()
-        assert trace.input_grad(output_grad).tobytes() == full.input_grad.tobytes()
+        # a frozen network's relay is the input gradient of the MSE gradient
+        frozen = own.arrays(net, 40)
+        forward_trace(net, x, out=frozen.trace)
+        relayed = frozen.relay(targets)
+        expected = trace.backward(reference_mse_grad(trace.output, targets)[1]).input_grad
+        assert relayed.tobytes() == expected.tobytes()
+
+    def test_backward_results_share_no_memory(self):
+        net = make_net(3, [(4, "tanh"), (2, "linear")], seed=14)
+        trace = forward_trace(net, np.random.default_rng(15).uniform(-1, 1, (5, 3)))
+        output_grad = np.ones((5, 2))
+        first, second = trace.backward(output_grad), trace.backward(output_grad)
+
+        def arrays(grads):
+            return grads.weight_grads + grads.bias_grads + [grads.input_grad]
+
+        for a in arrays(first):
+            for b in arrays(second) + [output_grad] + trace.zs + trace.activations:
+                assert not np.shares_memory(a, b)
 
     def test_from_output_grad_shape_contract(self):
         net = make_net(3, [(2, "tanh")], seed=9)
