@@ -20,6 +20,7 @@ from perfgan import (
     positive_density,
     snap,
 )
+from perfgan.space import rank, unrank
 
 space = default_space()
 print("Dimensions:")
@@ -28,13 +29,15 @@ for dim in space.dims:
           f"({dim.levels[0]:g} .. {dim.levels[-1]:g})")
 print(f"Cardinality: {cardinality(space):,} configurations\n")
 
-# A test input is a tuple of level indices.  Normalization puts each
+# A test input is a tuple of level indices; inside the search it is its
+# rank, its position in lexicographic order.  Normalization puts each
 # coordinate on an even grid in [-1, 1]; snapping inverts it for any
 # continuous vector, which is how network outputs become grid inputs.
 example = (4, 18, 9, 0, 0, 0)  # big cluster flat out, little cluster off
-vec = normalize_batch(space, [example])[0]
+vec = normalize_batch(space, [rank(space, example)])[0]
 print(f"encoding of {example} = {np.round(vec, 3)}")
-print(f"snap of a perturbed vector: {snap(space, [vec + 0.04])[0]}\n")
+(snapped,) = snap(space, [vec + 0.04]).tolist()
+print(f"snap of a perturbed vector: {unrank(space, snapped)}\n")
 
 # Power rises with active CPUs, utilization, and the cube of the
 # frequency ratio; the threshold p_m = 6 W defines a positive test.

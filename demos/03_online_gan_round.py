@@ -23,6 +23,7 @@ from perfgan import (
 )
 from perfgan.gan import LATENT_DIM
 from perfgan.nn import forward, loss_mse
+from perfgan.space import unrank
 
 space = default_space()
 sut = SyntheticSut(gain=2.0046654031199886)
@@ -62,7 +63,8 @@ print(f"\nmean predicted fitness of 64 fresh candidates: "
 noise = np.random.default_rng(11).uniform(-1.0, 1.0, size=(8, LATENT_DIM))
 candidates = sample_candidates(gan, noise)
 print("\ngenerator candidates after training (predicted vs measured):")
-for vec, t in zip(candidates, snap(space, candidates)):
+for vec, r in zip(candidates, snap(space, candidates).tolist()):
+    t = unrank(space, r)
     predicted = predict_fitness(gan, vec[None, :])[0]
     print(f"  {t}  predicted {predicted:4.2f}  ->  "
           f"{sut.measure(space, t):5.2f} W")

@@ -14,7 +14,7 @@ is proposed:
 dn and ogan share one acceptance loop (`_search`): each inner pass
 decays the threshold by `treducer`, drops proposed candidates that were
 already executed, and accepts the best-predicted remaining one if it
-clears the threshold; the model retrains after every executed test.
+clears the threshold; the model retrains before every searched test.
 They differ only in their proposal, prediction and retraining.
 
 Every executed test records how many inner-loop passes and proposed
@@ -26,6 +26,7 @@ accepted at.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -42,12 +43,14 @@ from .gan import (
 from .nn import Dataset, RmspropState, forward, init_network, train_epochs
 from .rng import stream_rng
 from .space import (
+    NUM_DIMENSIONS,
     InputSpace,
     TestInput,
     cardinality,
     normalize_batch,
     sample_uniform,
     snap,
+    unrank,
 )
 from .sut import FitnessSpec, SutInterface, fitness
 
@@ -80,21 +83,21 @@ class TestRecord:
 
 @dataclass
 class TestSuite:
-    """Ordered, duplicate-free list of executed tests and their input set."""
+    """Ordered, duplicate-free executed tests; `_execute` keeps `executed`, their ranks."""
 
     records: list[TestRecord] = field(default_factory=list)
-    executed: set[TestInput] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.executed = {r.input for r in self.records}
+    executed: set[int] = field(default_factory=set, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.records)
 
     def training_arrays(self, space: InputSpace) -> Dataset:
         """(normalized inputs (n, 6), measured fitness (n, 1)) for training."""
-        x = normalize_batch(space, [r.input for r in self.records])
-        y = np.array([[r.fitness] for r in self.records])
+        n = len(self.records)
+        flat = chain.from_iterable(r.input for r in self.records)
+        idx = np.fromiter(flat, np.int64, n * NUM_DIMENSIONS).reshape(n, NUM_DIMENSIONS)
+        x = normalize_batch(space, np.ravel_multi_index(idx.T, space.level_counts))
+        y = np.fromiter((r.fitness for r in self.records), np.float64, n)[:, None]
         return x, y
 
 
@@ -138,13 +141,13 @@ class SuiteStats:
 class _Searcher(NamedTuple):
     """What a learning algorithm plugs into the shared acceptance loop.
 
-    propose(suite, stalled) returns candidate inputs (stalled is true
+    propose(suite, stalled) returns candidate ranks (stalled is true
     past the stall guard); predict(candidates) returns one predicted
     fitness per candidate; retrain(suite) updates the model in place.
     """
 
-    propose: Callable[[TestSuite, bool], list[TestInput]]
-    predict: Callable[[list[TestInput]], np.ndarray]
+    propose: Callable[[TestSuite, bool], list[int]]
+    predict: Callable[[list[int]], np.ndarray]
     retrain: Callable[[TestSuite], None]
 
 
@@ -153,13 +156,14 @@ def _execute(
     sut: SutInterface,
     spec: FitnessSpec,
     suite: TestSuite,
-    test_input: TestInput,
+    r: int,
     inner_iterations: int,
     candidate_trials: int,
     threshold: float | None = None,
     prediction: float | None = None,
 ) -> None:
-    """Measure one input and append its record to the suite."""
+    """Measure the input of rank r and append its record to the suite."""
+    test_input = unrank(space, r)
     power = sut.measure(space, test_input)
     try:
         fit = fitness(spec, power)
@@ -169,7 +173,7 @@ def _execute(
         TestRecord(test_input, power, fit, inner_iterations, candidate_trials,
                    len(suite), threshold, prediction)
     )
-    suite.executed.add(test_input)
+    suite.executed.add(r)
 
 
 def _search(
@@ -183,12 +187,11 @@ def _search(
     """Warm-up, then (with a searcher) the acceptance loop to the budget.
 
     Without a searcher the warm-up alone fills the budget.  With one,
-    the model trains once on a nonempty warm-up that leaves budget to
-    search.  Each pass multiplies the threshold by treducer, or sets it
-    to exactly 0 past fallback_after passes; every proposed candidate
-    costs a trial, already-executed ones are dropped, and the best
-    prediction among the rest must reach the threshold.  The model
-    retrains after every executed test.
+    the model trains on the nonempty suite before every searched test,
+    so never after the last one.  Each pass multiplies the threshold by
+    treducer, or sets it to exactly 0 past fallback_after passes; every
+    proposed candidate costs a trial, already-executed ones are dropped,
+    and the best prediction among the rest must reach the threshold.
     """
     if cfg.budget > cardinality(space):
         raise ValueError(
@@ -197,13 +200,13 @@ def _search(
     suite = TestSuite()
     rng = stream_rng(seed, "warmup-sampling")
     for _ in range(cfg.warmup if searcher is not None else cfg.budget):
-        (t,) = sample_uniform(space, suite.executed, 1, rng)
-        _execute(space, sut, spec, suite, t, 1, 1)
+        (r,) = sample_uniform(space, suite.executed, 1, rng)
+        _execute(space, sut, spec, suite, r, 1, 1)
     if searcher is None:
         return suite
-    if 0 < len(suite) < cfg.budget:
-        searcher.retrain(suite)
     while len(suite) < cfg.budget:
+        if suite.records:
+            searcher.retrain(suite)
         target = 1.0
         passes = trials = 0
         while True:
@@ -212,7 +215,7 @@ def _search(
             target = 0.0 if stalled else target * cfg.treducer
             proposed = searcher.propose(suite, stalled)
             trials += len(proposed)
-            candidates = [t for t in proposed if t not in suite.executed]
+            candidates = [r for r in proposed if r not in suite.executed]
             if not candidates:
                 continue
             predictions = searcher.predict(candidates)
@@ -221,7 +224,6 @@ def _search(
                 break
         _execute(space, sut, spec, suite, candidates[best], passes, trials,
                  target, float(predictions[best]))
-        searcher.retrain(suite)
     return suite
 
 
@@ -255,11 +257,11 @@ def run_dn(
     opt = RmspropState.for_network(disc)
     total = cardinality(space)
 
-    def propose(suite: TestSuite, stalled: bool) -> list[TestInput]:
+    def propose(suite: TestSuite, stalled: bool) -> list[int]:
         batch = min(cfg.batchsize, total - len(suite))
         return sample_uniform(space, suite.executed, batch, rng_sample)
 
-    def predict(candidates: list[TestInput]) -> np.ndarray:
+    def predict(candidates: list[int]) -> np.ndarray:
         return forward(disc, normalize_batch(space, candidates))[:, 0]
 
     def retrain(suite: TestSuite) -> None:
@@ -285,7 +287,7 @@ def run_ogan(
     grid, so a snap onto an executed input costs a pass and a trial
     without reaching the surrogate.  Past the stall guard the candidate
     is a uniform draw among unexecuted inputs instead.  Generator and
-    surrogate retrain after every executed test.
+    surrogate retrain before every searched test.
 
     The generator is frozen between retrains, so candidates are computed
     PROPOSAL_BLOCK passes at a time: one generator forward and one snap
@@ -299,12 +301,12 @@ def run_ogan(
     rng_fallback = stream_rng(seed, "fallback-sampling")
     gan = init_gan(cfg.gan, stream_rng(seed, "net-init"))
     # noise holds the gan-latent rows no pass has used yet, in draw order;
-    # block holds the current generator's snapped candidates for its
-    # leading rows (empty after a retrain, which keeps the noise)
+    # block holds the ranks of the current generator's snapped candidates
+    # for its leading rows (empty after a retrain, which keeps the noise)
     noise = np.empty((0, LATENT_DIM))
-    block: list[TestInput] = []
+    block: list[int] = []
 
-    def propose(suite: TestSuite, stalled: bool) -> list[TestInput]:
+    def propose(suite: TestSuite, stalled: bool) -> list[int]:
         nonlocal noise, block
         if stalled:
             return sample_uniform(space, suite.executed, 1, rng_fallback)
@@ -313,11 +315,11 @@ def run_ogan(
                 -1.0, 1.0, size=(PROPOSAL_BLOCK - len(noise), LATENT_DIM)
             )
             noise = np.concatenate([noise, fresh])
-            block = snap(space, sample_candidates(gan, noise))
+            block = snap(space, sample_candidates(gan, noise)).tolist()
         noise = noise[1:]
         return [block.pop(0)]
 
-    def predict(candidates: list[TestInput]) -> np.ndarray:
+    def predict(candidates: list[int]) -> np.ndarray:
         return predict_fitness(gan, normalize_batch(space, candidates))
 
     def retrain(suite: TestSuite) -> None:

@@ -279,11 +279,14 @@ def _load_algorithm(raw: Any, index: int) -> AlgorithmVariant:
 
 def load_config(path: str | Path, output_dir: str | Path | None = None) -> ExperimentConfig:
     """Parse and validate a JSON experiment configuration file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"not valid JSON: {exc}") from exc
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected an object")
     return parse_config(raw, output_dir=output_dir)

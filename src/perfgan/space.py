@@ -2,9 +2,11 @@
 
 A configuration assigns one level to each of six ordered dimensions
 (big-cluster CPU count, frequency, utilization; same for the little
-cluster).  Inputs are index tuples into the per-dimension level lists;
-the continuous encoding maps each index onto an evenly spaced grid in
-[-1, 1] so network outputs can be snapped back onto the grid.
+cluster).  At the system-under-test boundary and in test records an
+input is a tuple of level indices; inside the search it is its rank,
+its lexicographic position, which the sampler, snap and encoder take
+and return.  The continuous encoding maps each index onto an evenly
+spaced grid in [-1, 1] so network outputs can be snapped back onto it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -107,38 +109,37 @@ def cardinality(space: InputSpace) -> int:
     return math.prod(space.level_counts)
 
 
-def normalize_batch(space: InputSpace, inputs: Iterable[TestInput]) -> np.ndarray:
-    """Encode grid inputs as rows in [-1, 1]^6; returns (k, 6).
+def normalize_batch(space: InputSpace, ranks: Iterable[int]) -> np.ndarray:
+    """Encode grid inputs, given by rank, as rows in [-1, 1]^6; returns (k, 6).
 
     Component j is -1 + 2*index/(L-1) for an L-level dimension; a
-    single-level dimension encodes as 0.  Raises ValueError on an index
-    outside its dimension.
+    single-level dimension encodes as 0.  Raises ValueError on a rank
+    outside [0, cardinality).
     """
-    idx = np.asarray(list(inputs), dtype=np.int64)
-    if idx.size == 0:
-        return np.zeros((0, NUM_DIMENSIONS))
-    if idx.ndim != 2 or idx.shape[1] != NUM_DIMENSIONS:
-        raise ValueError(f"inputs must have {NUM_DIMENSIONS} indices each")
-    counts = np.asarray(space.level_counts, dtype=np.int64)
-    bad = (idx < 0) | (idx >= counts)
+    r = np.asarray(ranks, dtype=np.int64)
+    if r.ndim != 1:
+        raise ValueError(f"ranks must be one-dimensional, got shape {r.shape}")
+    total = cardinality(space)
+    bad = (r < 0) | (r >= total)
     if bad.any():
-        row, j = np.argwhere(bad)[0]
-        name = space.dims[j].name
-        raise ValueError(f"index {idx[row, j]} out of range for dimension {j} ({name!r})")
+        raise ValueError(f"rank {r[bad][0]} out of range [0, {total})")
+    idx = np.stack(np.unravel_index(r, space.level_counts), axis=1)
+    counts = np.asarray(space.level_counts, dtype=np.int64)
     denom = np.maximum(counts - 1, 1).astype(np.float64)
     out = -1.0 + 2.0 * idx / denom
     out[:, counts == 1] = 0.0
     return out
 
 
-def snap(space: InputSpace, vectors: np.ndarray) -> list[TestInput]:
-    """Map rows of continuous vectors (k, 6) to their nearest grid inputs.
+def snap(space: InputSpace, vectors: np.ndarray) -> np.ndarray:
+    """Map rows of continuous vectors (k, 6) to the ranks of their nearest inputs.
 
     Component j of a row becomes ceil(x - 0.5) with
     x = (v + 1) * (L - 1) / 2 for an L-level dimension, clipped to
     [0, L - 1]: the nearest level, exact midpoints resolving to the lower
-    index; a single-level dimension snaps to 0.  Raises ValueError on a
-    row that is not six wide or on a non-finite component.
+    index; a single-level dimension snaps to 0.  Returns the int64 ranks
+    of those index rows.  Raises ValueError on a row that is not six wide
+    or on a non-finite component.
     """
     vec = np.asarray(vectors, dtype=np.float64)
     if vec.ndim != 2 or vec.shape[1] != NUM_DIMENSIONS:
@@ -147,7 +148,7 @@ def snap(space: InputSpace, vectors: np.ndarray) -> list[TestInput]:
         raise ValueError("vectors must be finite")
     top = np.asarray(space.level_counts, dtype=np.float64) - 1.0
     idx = np.clip(np.ceil((vec + 1.0) * top / 2.0 - 0.5), 0.0, top)
-    return [tuple(row) for row in idx.astype(np.int64).tolist()]
+    return np.ravel_multi_index(idx.astype(np.int64).T, space.level_counts)
 
 
 def rank(space: InputSpace, test_input: TestInput) -> int:
@@ -174,13 +175,13 @@ def enumerate_inputs(space: InputSpace) -> Iterator[TestInput]:
 
 def sample_uniform(
     space: InputSpace,
-    exclude: set[TestInput],
+    exclude: Collection[int],
     k: int,
     rng: np.random.Generator,
-) -> list[TestInput]:
-    """Draw k distinct inputs uniformly, without replacement, outside `exclude`.
+) -> list[int]:
+    """Draw k distinct ranks uniformly, without replacement, outside `exclude`.
 
-    `exclude` must hold inputs of this space.  Raises ValueError when
+    `exclude` must hold ranks of this space.  Raises ValueError when
     fewer than k inputs remain.
     """
     if k < 0:
@@ -199,28 +200,16 @@ def sample_uniform(
         pool = np.arange(total, dtype=np.int64)
         if exclude:
             mask = np.ones(total, dtype=bool)
-            mask[[rank(space, t) for t in exclude]] = False
+            mask[list(exclude)] = False
             pool = pool[mask]
-        chosen = rng.choice(pool, size=k, replace=False)
-        return [unrank(space, int(r)) for r in chosen]
+        return rng.choice(pool, size=k, replace=False).tolist()
 
-    # sparse request: batched rejection sampling stays exactly uniform;
-    # a draw is checked against this call's picks by rank, then against
-    # `exclude` as an input, so `exclude` is never ranked
-    picked: set[int] = set()
-    chosen: list[TestInput] = []
-    while len(chosen) < k:
-        need = k - len(chosen)
-        draw = rng.integers(0, total, size=need + max(16, need // 4))
-        for r in draw:
-            r = int(r)
-            if r in picked:
-                continue
-            t = unrank(space, r)
-            if t in exclude:
-                continue
-            picked.add(r)
-            chosen.append(t)
-            if len(chosen) == k:
-                break
-    return chosen
+    # sparse request: batched rejection sampling stays exactly uniform.
+    # `picked` is an insertion-ordered set of the non-excluded draws, first
+    # occurrences in draw order; the batch that reaches k is cut to k
+    picked: dict[int, None] = {}
+    while len(picked) < k:
+        need = k - len(picked)
+        draw = rng.integers(0, total, size=need + max(16, need // 4)).tolist()
+        picked.update(dict.fromkeys(r for r in draw if r not in exclude))
+    return list(picked)[:k]

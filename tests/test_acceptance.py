@@ -44,7 +44,9 @@ from perfgan.space import (
     default_space,
     enumerate_inputs,
     normalize_batch,
+    rank,
     snap,
+    unrank,
 )
 from perfgan.sut import FitnessSpec, SyntheticSut
 
@@ -271,7 +273,8 @@ def test_criterion_5_algorithm_invariants():
             )
         )
         for t in enumerate_inputs(tiny):
-            assert snap(tiny, normalize_batch(tiny, [t]))[0] == t
+            (r,) = snap(tiny, normalize_batch(tiny, [rank(tiny, t)])).tolist()
+            assert unrank(tiny, r) == t
 
         assert time.perf_counter() - start < 60.0
 

@@ -161,6 +161,30 @@ def test_missing_config_exits_one(tmp_path):
     assert main(["oracle", "--config", str(tmp_path / "absent.json")]) == 1
 
 
+def _assert_config_error_everywhere(tmp_path, capsys, config):
+    argvs = [
+        ["oracle", "--config", str(config)],
+        ["compare", "--config", str(config), "--out", str(tmp_path / "out")],
+        ["run", "--algorithm", "dn", "--config", str(config), "--seed", "1",
+         "--out", str(tmp_path / "single")],
+    ]
+    for argv in argvs:
+        assert main(argv) == 1
+        assert f"config error: {config}" in capsys.readouterr().err
+
+
+def test_undecodable_config_is_config_error(tmp_path, capsys):
+    config = tmp_path / "utf16.json"
+    config.write_bytes(b"\xff\xfe{\x00}\x00")
+    _assert_config_error_everywhere(tmp_path, capsys, config)
+
+
+def test_directory_as_config_is_config_error(tmp_path, capsys):
+    config = tmp_path / "a_directory"
+    config.mkdir()
+    _assert_config_error_everywhere(tmp_path, capsys, config)
+
+
 def test_unwritable_output_exits_two(tmp_path):
     config = write_config(tmp_path)
     blocker = tmp_path / "blocked"

@@ -12,7 +12,7 @@ from perfgan.generators import (
     run_random,
     suite_stats,
 )
-from perfgan.space import Dimension, InputSpace, cardinality, enumerate_inputs
+from perfgan.space import Dimension, InputSpace, cardinality, enumerate_inputs, rank
 from perfgan.sut import FitnessSpec, SyntheticSut
 
 
@@ -205,7 +205,7 @@ class TestRunOgan:
         from perfgan.space import normalize_batch
 
         real_run = run_random(SPACE, SUT, SPEC, fast_cfg(budget=1, warmup=0), 19)
-        first["vec"] = normalize_batch(SPACE, [real_run.records[0].input])[0]
+        first["vec"] = normalize_batch(SPACE, [rank(SPACE, real_run.records[0].input)])[0]
 
         monkeypatch.setattr(generators, "sample_candidates", collapsed)
         suite = run_ogan(SPACE, SUT, SPEC, cfg, 19)
@@ -232,6 +232,31 @@ class TestRunOgan:
         a = run_ogan(SPACE, SUT, SPEC, fast_cfg(), 20)
         b = run_ogan(SPACE, SUT, SPEC, fast_cfg(), 20)
         assert [r.input for r in a.records] == [r.input for r in b.records]
+
+
+class TestSearchBookkeeping:
+    @pytest.mark.parametrize("run", [run_random, run_dn, run_ogan])
+    def test_executed_holds_the_ranks_of_the_records(self, run):
+        suite = run(SPACE, SUT, SPEC, fast_cfg(), 26)
+        assert suite.executed == {rank(SPACE, r.input) for r in suite.records}
+
+    @pytest.mark.parametrize(
+        "run, trainer", [(run_dn, "train_epochs"), (run_ogan, "train_gan")]
+    )
+    def test_one_retrain_per_searched_test(self, monkeypatch, run, trainer):
+        # the warm-up round included; no retrain follows the last test
+        calls = []
+        real = getattr(generators, trainer)
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(generators, trainer, counting)
+        cfg = fast_cfg(budget=16, warmup=6)
+        suite = run(SPACE, SUT, SPEC, cfg, 27)
+        assert len(suite) == cfg.budget
+        assert len(calls) == cfg.budget - cfg.warmup
 
 
 class TestBadMeasurement:

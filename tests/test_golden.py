@@ -2,12 +2,14 @@
 
 One short run per case (default config, budget 60, warm-up 50) is reduced
 to the sha256 of its records: input, power, fitness, inner_iterations
-and candidate_trials.  The cases are random, dn, ogan, and dn with a
+and candidate_trials.  The cases are random, dn, ogan, dn with a
 stall guard of 5 passes, which every one of its ten searched tests
-reaches (ogan reaches its default guard of 1000 once).  The digests pin
-every network output that decides a proposal, so a change to the
-sampling, training or encoding path that moves a single bit shows up
-here.  An intended change of behaviour must re-record them and say why.
+reaches (ogan reaches its default guard of 1000 once), and dn with
+4,096-row batches, which pins the sampler's large-k sparse path.  The
+digests pin every network output that decides a proposal, so a change
+to the sampling, training or encoding path that moves a single bit
+shows up here.  An intended change of behaviour must re-record them and
+say why.
 
 The same short experiment, one run of every default variant, is also
 written to disk through `run_experiment`, and each of its four output
@@ -43,6 +45,11 @@ GOLDEN = {
         "dn",
         {"fallback_after": 5},
         "7503a47a4259e8472bfd741544cd8d4863ffcf69eec2b73969c216ab0f7410ea",
+    ),
+    "dn_wide": (
+        "dn",
+        {"batchsize": 4096},
+        "8980d7ecac7ac805561d05b4da64e095ad6dc88959b2f8c9fbd7da89f05de586",
     ),
 }
 RUNNERS = {"random": run_random, "dn": run_dn, "ogan": run_ogan}

@@ -68,7 +68,18 @@ class TestCardinality:
 
 def normalize(space, test_input):
     """One input's encoding, through the batch encoder."""
-    return normalize_batch(space, [test_input])[0]
+    return normalize_batch(space, [rank(space, test_input)])[0]
+
+
+def snap_inputs(space, vectors):
+    """`snap` with its ranks unranked into input tuples."""
+    return [unrank(space, r) for r in snap(space, vectors).tolist()]
+
+
+def sample_inputs(space, exclude, k, rng):
+    """`sample_uniform` over input tuples: ranks `exclude`, unranks the draw."""
+    ranks = sample_uniform(space, {rank(space, t) for t in exclude}, k, rng)
+    return [unrank(space, r) for r in ranks]
 
 
 class TestNormalize:
@@ -101,10 +112,15 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(grid(2, 2, 2, 2, 2, 2), (2, 0, 0, 0, 0, 0))
 
+    def test_index_rows_rejected(self):
+        # a caller still passing input tuples fails instead of misreading them
+        with pytest.raises(ValueError, match="one-dimensional"):
+            normalize_batch(grid(2, 2, 2, 2, 2, 2), [(0, 1, 0, 1, 0, 1)])
+
     def test_batch_matches_scalar(self):
         s = grid(3, 4, 2, 5, 1, 6)
         inputs = list(enumerate_inputs(s))
-        batch = normalize_batch(s, inputs)
+        batch = normalize_batch(s, [rank(s, t) for t in inputs])
         for row, t in zip(batch, inputs):
             # the documented formula, one component at a time
             expected = [
@@ -126,24 +142,66 @@ def space_and_input(draw):
 
 @st.composite
 def space_and_bad_input(draw):
+    """A space and two ranks, the second outside [0, cardinality)."""
     s, t = draw(space_and_input())
-    j = draw(st.integers(0, 5))
-    count = s.level_counts[j]
-    bad = draw(st.one_of(st.integers(-10, -1), st.integers(count, count + 10)))
-    return s, [t, t[:j] + (bad,) + t[j + 1 :]]
+    total = cardinality(s)
+    bad = draw(st.one_of(st.integers(-10, -1), st.integers(total, total + 10)))
+    return s, [rank(s, t), bad]
+
+
+def tuple_normalize_batch(space, inputs):
+    """The tuple encoder `normalize_batch` replaced, kept as a reference."""
+    idx = np.asarray(list(inputs), dtype=np.int64)
+    if idx.size == 0:
+        return np.zeros((0, 6))
+    counts = np.asarray(space.level_counts, dtype=np.int64)
+    denom = np.maximum(counts - 1, 1).astype(np.float64)
+    out = -1.0 + 2.0 * idx / denom
+    out[:, counts == 1] = 0.0
+    return out
+
+
+@st.composite
+def space_and_ranks(draw):
+    counts = draw(level_counts)
+    s = grid(*counts)
+    ranks = draw(st.lists(st.integers(0, cardinality(s) - 1), max_size=12))
+    return s, ranks
 
 
 class TestNormalizeProperties:
     @given(space_and_input())
     def test_snap_inverts_encoding(self, case):
         s, t = case
-        assert snap(s, normalize_batch(s, [t]))[0] == t
+        assert snap_inputs(s, normalize_batch(s, [rank(s, t)]))[0] == t
 
     @given(space_and_bad_input())
     def test_out_of_range_index_raises(self, case):
-        s, batch = case  # the bad input is the second row
+        s, batch = case  # the bad rank is the second entry
         with pytest.raises(ValueError, match="out of range"):
             normalize_batch(s, batch)
+
+    @given(space_and_bad_input())
+    def test_error_names_the_bad_rank(self, case):
+        s, batch = case
+        with pytest.raises(ValueError, match=rf"rank {batch[1]} out of range"):
+            normalize_batch(s, batch)
+
+    @given(space_and_ranks())
+    def test_matches_tuple_encoder_bit_for_bit(self, case):
+        s, ranks = case
+        got = normalize_batch(s, ranks)
+        expected = tuple_normalize_batch(s, [unrank(s, r) for r in ranks])
+        assert got.shape == expected.shape == (len(ranks), 6)
+        assert got.tobytes() == expected.tobytes()
+
+
+def tuple_snap(space, vectors):
+    """The batch snap that returned input tuples, kept as a reference."""
+    vec = np.asarray(vectors, dtype=np.float64)
+    top = np.asarray(space.level_counts, dtype=np.float64) - 1.0
+    idx = np.clip(np.ceil((vec + 1.0) * top / 2.0 - 0.5), 0.0, top)
+    return [tuple(row) for row in idx.astype(np.int64).tolist()]
 
 
 def scalar_snap(space, vector):
@@ -177,9 +235,16 @@ class TestSnapProperties:
     @given(space_and_vectors())
     def test_batch_matches_scalar_formula(self, case):
         s, vectors = case
-        snapped = snap(s, vectors)
+        snapped = snap_inputs(s, vectors)
         assert snapped == [scalar_snap(s, row) for row in vectors]
         assert all(type(i) is int for t in snapped for i in t)
+
+    @given(space_and_vectors())
+    def test_ranks_match_tuple_snap(self, case):
+        s, vectors = case
+        ranks = snap(s, vectors)
+        assert ranks.dtype == np.int64 and ranks.shape == (len(vectors),)
+        assert ranks.tolist() == [rank(s, t) for t in tuple_snap(s, vectors)]
 
     @given(level_counts, st.integers(1, 8))
     def test_rows_must_be_six_wide(self, counts, k):
@@ -192,24 +257,24 @@ class TestSnap:
         for counts in [(2, 2, 2, 2, 2, 2), (3, 1, 4, 2, 5, 2)]:
             s = grid(*counts)
             for t in enumerate_inputs(s):
-                assert snap(s, [normalize(s, t)])[0] == t
+                assert snap_inputs(s, [normalize(s, t)])[0] == t
 
     def test_endpoints(self):
         s = grid(4, 4, 4, 4, 4, 4)
-        assert snap(s, [-np.ones(6)])[0] == (0,) * 6
-        assert snap(s, [np.ones(6)])[0] == (3,) * 6
+        assert snap_inputs(s, [-np.ones(6)])[0] == (0,) * 6
+        assert snap_inputs(s, [np.ones(6)])[0] == (3,) * 6
 
     def test_midpoint_tie_goes_low(self):
         s = grid(2, 2, 2, 2, 2, 2)
-        assert snap(s, [np.zeros(6)])[0] == (0,) * 6
+        assert snap_inputs(s, [np.zeros(6)])[0] == (0,) * 6
 
     def test_nearest_neighbour(self):
         s = grid(5, 1, 1, 1, 1, 1)
         # grid at -1, -0.5, 0, 0.5, 1 along dim 0
-        assert snap(s, [[0.2, 0, 0, 0, 0, 0]])[0][0] == 2
-        assert snap(s, [[0.3, 0, 0, 0, 0, 0]])[0][0] == 3
-        assert snap(s, [[0.25, 0, 0, 0, 0, 0]])[0][0] == 2  # exact tie, low
-        assert snap(s, [[-0.74, 0, 0, 0, 0, 0]])[0][0] == 1
+        assert snap_inputs(s, [[0.2, 0, 0, 0, 0, 0]])[0][0] == 2
+        assert snap_inputs(s, [[0.3, 0, 0, 0, 0, 0]])[0][0] == 3
+        assert snap_inputs(s, [[0.25, 0, 0, 0, 0, 0]])[0][0] == 2  # exact tie, low
+        assert snap_inputs(s, [[-0.74, 0, 0, 0, 0, 0]])[0][0] == 1
 
 
 class TestRanking:
@@ -239,12 +304,12 @@ class TestSampleUniform:
         everything = set(enumerate_inputs(s))
         lone = (1, 0, 1, 0, 1, 0)
         exclude = everything - {lone}
-        got = sample_uniform(s, exclude, 1, np.random.default_rng(0))
+        got = sample_inputs(s, exclude, 1, np.random.default_rng(0))
         assert got == [lone]
 
     def test_full_exhaustion_is_permutation(self):
         s = grid(2, 2, 2, 2, 2, 2)
-        got = sample_uniform(s, set(), 64, np.random.default_rng(1))
+        got = sample_inputs(s, set(), 64, np.random.default_rng(1))
         assert sorted(got) == sorted(enumerate_inputs(s))
 
     def test_never_returns_excluded_or_duplicate(self):
@@ -252,19 +317,19 @@ class TestSampleUniform:
         rng = np.random.default_rng(2)
         exclude = {(0, 0, 0, 0, 0, 0), (2, 1, 1, 1, 1, 1)}
         for _ in range(50):
-            got = sample_uniform(s, exclude, 5, rng)
+            got = sample_inputs(s, exclude, 5, rng)
             assert len(set(got)) == 5
             assert not (set(got) & exclude)
 
     def test_exhaustion_error(self):
         s = grid(2, 1, 1, 1, 1, 1)
         with pytest.raises(ValueError):
-            sample_uniform(s, {(0, 0, 0, 0, 0, 0)}, 2, np.random.default_rng(0))
+            sample_inputs(s, {(0, 0, 0, 0, 0, 0)}, 2, np.random.default_rng(0))
 
     def test_deterministic_per_seed(self):
         s = grid(4, 3, 2, 2, 3, 4)
-        a = sample_uniform(s, set(), 10, np.random.default_rng(77))
-        b = sample_uniform(s, set(), 10, np.random.default_rng(77))
+        a = sample_inputs(s, set(), 10, np.random.default_rng(77))
+        b = sample_inputs(s, set(), 10, np.random.default_rng(77))
         assert a == b
 
     def test_frequencies_within_5_sigma(self):
@@ -274,7 +339,7 @@ class TestSampleUniform:
         counts = {}
         draws = 10_000
         for _ in range(draws):
-            (t,) = sample_uniform(s, set(), 1, rng)
+            (t,) = sample_inputs(s, set(), 1, rng)
             counts[t] = counts.get(t, 0) + 1
         p = 1.0 / 64
         mean = draws * p
@@ -287,7 +352,7 @@ class TestSampleUniform:
         rng = np.random.default_rng(4)
         seen = set()
         while len(seen) < cardinality(s):
-            (t,) = sample_uniform(s, seen, 1, rng)
+            (t,) = sample_inputs(s, seen, 1, rng)
             seen.add(t)
         assert seen == set(enumerate_inputs(s))
 
@@ -355,7 +420,7 @@ class TestRankAndSamplingProperties:
     @given(sampling_case())
     def test_never_excluded_or_duplicate(self, case):
         s, exclude, k, seed = case
-        got = sample_uniform(s, exclude, k, np.random.default_rng(seed))
+        got = sample_inputs(s, exclude, k, np.random.default_rng(seed))
         assert len(got) == k
         assert len(set(got)) == k
         assert not set(got) & exclude
@@ -366,7 +431,7 @@ class TestRankAndSamplingProperties:
     def test_matches_reference_draw_for_draw(self, case):
         s, exclude, k, seed = case
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert sample_uniform(s, exclude, k, rng) == reference_sample_uniform(
+        assert sample_inputs(s, exclude, k, rng) == reference_sample_uniform(
             s, exclude, k, ref_rng
         )
         # both consumed the stream identically
@@ -380,7 +445,7 @@ class TestRankAndSamplingProperties:
         exclude = set(exclude)
         for _ in range(steps):
             k = min(k, cardinality(s) - len(exclude))
-            got = sample_uniform(s, exclude, k, rng)
+            got = sample_inputs(s, exclude, k, rng)
             assert got == reference_sample_uniform(s, exclude, k, ref_rng)
             exclude.update(got)
 
@@ -391,6 +456,6 @@ class TestRankAndSamplingProperties:
         available = cardinality(s) - len(exclude)
         for k in (1, available // 4, available // 4 + 1, available):
             rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
-            assert sample_uniform(s, exclude, k, rng) == reference_sample_uniform(
+            assert sample_inputs(s, exclude, k, rng) == reference_sample_uniform(
                 s, exclude, k, ref_rng
             )
