@@ -86,7 +86,7 @@ class TestSuite:
     """Ordered, duplicate-free executed tests; `_execute` keeps `executed`, their ranks."""
 
     records: list[TestRecord] = field(default_factory=list)
-    executed: set[int] = field(default_factory=set, repr=False, compare=False)
+    executed: set[int] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.records)

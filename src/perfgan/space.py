@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -109,9 +109,10 @@ def cardinality(space: InputSpace) -> int:
     return math.prod(space.level_counts)
 
 
-def normalize_batch(space: InputSpace, ranks: Iterable[int]) -> np.ndarray:
+def normalize_batch(space: InputSpace, ranks: Sequence[int] | np.ndarray) -> np.ndarray:
     """Encode grid inputs, given by rank, as rows in [-1, 1]^6; returns (k, 6).
 
+    `ranks` is a list or a 1-D integer array (not a set or a generator).
     Component j is -1 + 2*index/(L-1) for an L-level dimension; a
     single-level dimension encodes as 0.  Raises ValueError on a rank
     outside [0, cardinality).

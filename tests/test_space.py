@@ -67,8 +67,8 @@ class TestCardinality:
 
 
 def normalize(space, test_input):
-    """One input's encoding, through the batch encoder."""
-    return normalize_batch(space, [rank(space, test_input)])[0]
+    """One input's encoding, through the batch encoder; rejects a bad index."""
+    return normalize_batch(space, [np.ravel_multi_index(test_input, space.level_counts)])[0]
 
 
 def snap_inputs(space, vectors):
@@ -109,8 +109,10 @@ class TestNormalize:
             assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_invalid_index_rejected(self):
-        with pytest.raises(ValueError):
-            normalize(grid(2, 2, 2, 2, 2, 2), (2, 0, 0, 0, 0, 0))
+        # a bad index in any dimension, not only one whose rank overflows
+        for test_input in [(2, 0, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0), (0, 0, 0, 0, 0, -1)]:
+            with pytest.raises(ValueError):
+                normalize(grid(2, 2, 2, 2, 2, 2), test_input)
 
     def test_index_rows_rejected(self):
         # a caller still passing input tuples fails instead of misreading them
