@@ -33,7 +33,6 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     RunResult,
-    Summary,
     histogram,
     load_config,
     run_experiment,

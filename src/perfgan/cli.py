@@ -20,10 +20,9 @@ from .harness import (
     ALGORITHM_KINDS,
     ConfigError,
     load_config,
+    oracle_facts,
     run_experiment,
 )
-from .space import cardinality
-from .sut import oracle_positive_count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,13 +70,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    total = cardinality(cfg.space)
-    positives = oracle_positive_count(cfg.sut, cfg.space, cfg.fitness)
-    print(f"cardinality: {total}")
-    print(f"positives: {positives}")
-    print(f"density: {positives / total!r}")
-    print(f"gain: {cfg.sut.gain!r}")
+    facts = oracle_facts(load_config(args.config))
+    print(f"cardinality: {facts['cardinality']}")
+    print(f"positives: {facts['positive_count']}")
+    print(f"density: {facts['density']!r}")
+    print(f"gain: {facts['gain']!r}")
     return 0
 
 

@@ -14,6 +14,9 @@ plot-ready outputs:
 * sma.csv        -- moving average over the cross-run mean fitness per
                     test index
 
+`run_experiment` returns `(results, summary)`: `summary` is the
+summary.json document, which `emit_outputs` writes as is.
+
 The config dataclasses are the JSON schema: `sut`, `fitness`, each
 algorithm and its `gan` build their dataclass by field name and type,
 and an unknown key anywhere is a ConfigError.  ExperimentConfig checks
@@ -31,6 +34,7 @@ import csv
 import functools
 import json
 import logging
+import math
 import sys
 import time
 import typing
@@ -110,6 +114,10 @@ class ExperimentConfig:
                 raise ConfigError(f"algorithms[{i}].budget: exceeds space cardinality {total}")
             if self.sma_window > variant.config.budget:
                 raise ConfigError(f"sma_window: exceeds budget of algorithm {variant.label!r}")
+        # the peak bounds every measurement in the space
+        power = self.sut.peak_power(self.space)
+        if not math.isfinite(power):
+            raise ConfigError(f"sut: power at the top level of every dimension is {power!r}")
 
 
 @dataclass(frozen=True)
@@ -118,29 +126,6 @@ class RunResult:
     seed: int
     suite: TestSuite
     duration_s: float
-
-
-@dataclass
-class AlgorithmSummary:
-    label: str
-    kind: str
-    positive_counts: list[int]
-    mean_positive_count: float
-    stddev_positive_count: float
-    mean_fitness: float
-    mean_inner_iterations: float | None
-    mean_candidate_trials: float | None
-    histogram: list[int]
-    sma: list[float]
-
-
-@dataclass
-class Summary:
-    oracle_cardinality: int
-    oracle_positive_count: int
-    oracle_density: float
-    gain: float
-    algorithms: list[AlgorithmSummary]
 
 
 def sma(series: list[float], window: int) -> list[float]:
@@ -328,8 +313,10 @@ def parse_config(raw: dict, output_dir: str | Path | None = None) -> ExperimentC
 
 def run_experiment(
     cfg: ExperimentConfig, run_seeds: list[int] | None = None
-) -> tuple[list[RunResult], Summary]:
+) -> tuple[list[RunResult], dict]:
     """Run every algorithm variant over the per-run seeds and summarize.
+
+    Returns the results and the summary.json document (see `summarize`).
 
     Seeds default to derive_run_seed(master_seed, i) for i in
     range(runs): the same run index gives every variant the same seed,
@@ -364,49 +351,42 @@ def run_experiment(
     return results, summary
 
 
-def summarize(cfg: ExperimentConfig, results: list[RunResult]) -> Summary:
+def oracle_facts(cfg: ExperimentConfig) -> dict:
+    """The exhaustive-search facts: summary.json's `oracle` block."""
     total = cardinality(cfg.space)
-    oracle_positives = oracle_positive_count(cfg.sut, cfg.space, cfg.fitness)
-    algo_summaries = []
+    positives = oracle_positive_count(cfg.sut, cfg.space, cfg.fitness)
+    return {"cardinality": total, "positive_count": positives,
+            "density": positives / total, "gain": cfg.sut.gain}
+
+
+def summarize(cfg: ExperimentConfig, results: list[RunResult]) -> dict:
+    """The summary.json document: oracle facts, per-variant statistics
+    keyed by label, and the config echo."""
+    algorithms = {}
     for variant in cfg.algorithms:
         suites = [r.suite for r in results if r.algorithm == variant.label]
         positives = [suite_stats(s).positive_count for s in suites]
         all_fitness = [rec.fitness for s in suites for rec in s.records]
-        post = [
-            rec
-            for s in suites
-            for rec in s.records
-            if rec.test_index >= variant.config.warmup
-        ]
-        per_index = np.array([[rec.fitness for rec in s.records] for s in suites])
-        mean_series = per_index.mean(axis=0)
-        algo_summaries.append(
-            AlgorithmSummary(
-                label=variant.label,
-                kind=variant.kind,
-                positive_counts=positives,
-                mean_positive_count=float(np.mean(positives)),
-                stddev_positive_count=(
-                    float(np.std(positives, ddof=1)) if len(positives) > 1 else 0.0
-                ),
-                mean_fitness=float(np.mean(all_fitness)),
-                mean_inner_iterations=(
-                    float(np.mean([r.inner_iterations for r in post])) if post else None
-                ),
-                mean_candidate_trials=(
-                    float(np.mean([r.candidate_trials for r in post])) if post else None
-                ),
-                histogram=histogram(all_fitness, cfg.histogram_bins),
-                sma=sma([float(v) for v in mean_series], cfg.sma_window),
-            )
-        )
-    return Summary(
-        oracle_cardinality=total,
-        oracle_positive_count=oracle_positives,
-        oracle_density=oracle_positives / total,
-        gain=cfg.sut.gain,
-        algorithms=algo_summaries,
-    )
+        post = [rec for s in suites for rec in s.records[variant.config.warmup:]]
+        mean_series = np.array([[rec.fitness for rec in s.records] for s in suites]).mean(axis=0)
+        algorithms[variant.label] = {
+            "kind": variant.kind,
+            "positive_counts": positives,
+            "mean_positive_count": float(np.mean(positives)),
+            "stddev_positive_count": (
+                float(np.std(positives, ddof=1)) if len(positives) > 1 else 0.0
+            ),
+            "mean_fitness": float(np.mean(all_fitness)),
+            "mean_inner_iterations": (
+                float(np.mean([r.inner_iterations for r in post])) if post else None
+            ),
+            "mean_candidate_trials": (
+                float(np.mean([r.candidate_trials for r in post])) if post else None
+            ),
+            "histogram": histogram(all_fitness, cfg.histogram_bins),
+            "sma": sma([float(v) for v in mean_series], cfg.sma_window),
+        }
+    return {"oracle": oracle_facts(cfg), "algorithms": algorithms, "config": _config_echo(cfg)}
 
 
 # ---------------------------------------------------------------------------
@@ -432,76 +412,46 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     }
 
 
-def summary_to_dict(summary: Summary, cfg: ExperimentConfig) -> dict:
-    return {
-        "oracle": {
-            "cardinality": summary.oracle_cardinality,
-            "positive_count": summary.oracle_positive_count,
-            "density": summary.oracle_density,
-            "gain": summary.gain,
-        },
-        "algorithms": {
-            a.label: {k: v for k, v in asdict(a).items() if k != "label"}
-            for a in summary.algorithms
-        },
-        "config": _config_echo(cfg),
-    }
-
-
-def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> Path:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    return path
 
 
-def emit_outputs(
-    results: list[RunResult], summary: Summary, cfg: ExperimentConfig
-) -> list[Path]:
-    """Write tests.csv, summary.json, histogram.csv and sma.csv."""
+def emit_outputs(results: list[RunResult], summary: dict, cfg: ExperimentConfig) -> None:
+    """Write tests.csv, summary.json (the `summarize` document),
+    histogram.csv and sma.csv."""
     out = cfg.output_dir
     if out is None:
         raise ValueError("config has no output directory")
     out.mkdir(parents=True, exist_ok=True)
-    written = []
 
     test_rows = (
         [run_id, variant.label, result.seed, rec.test_index]
         + [repr(v) for v in cfg.space.physical_values(rec.input)]
-        + [
-            repr(rec.power),
-            repr(rec.fitness),
-            rec.inner_iterations,
-            rec.candidate_trials,
-        ]
+        + [repr(rec.power), repr(rec.fitness), rec.inner_iterations, rec.candidate_trials]
         for variant in cfg.algorithms
         for run_id, result in enumerate(r for r in results if r.algorithm == variant.label)
         for rec in result.suite.records
     )
-    written.append(_write_csv(out / "tests.csv", TESTS_CSV_HEADER, test_rows))
+    _write_csv(out / "tests.csv", TESTS_CSV_HEADER, test_rows)
 
-    summary_path = out / "summary.json"
-    payload = summary_to_dict(summary, cfg)
-    summary_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    (out / "summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    written.append(summary_path)
 
+    per_variant = summary["algorithms"].items()
     hist_rows = (
-        [a.label, j, repr(j / len(a.histogram)), repr((j + 1) / len(a.histogram)), count]
-        for a in summary.algorithms
-        for j, count in enumerate(a.histogram)
+        [label, j, repr(j / len(a["histogram"])), repr((j + 1) / len(a["histogram"])), count]
+        for label, a in per_variant
+        for j, count in enumerate(a["histogram"])
     )
     hist_header = ["algorithm", "bin_index", "bin_low", "bin_high", "count"]
-    written.append(_write_csv(out / "histogram.csv", hist_header, hist_rows))
+    _write_csv(out / "histogram.csv", hist_header, hist_rows)
 
     sma_rows = (
-        [a.label, j, repr(value)]
-        for a in summary.algorithms
-        for j, value in enumerate(a.sma)
+        [label, j, repr(value)] for label, a in per_variant for j, value in enumerate(a["sma"])
     )
     sma_header = ["algorithm", "window_start", "sma_mean_fitness"]
-    written.append(_write_csv(out / "sma.csv", sma_header, sma_rows))
-
-    return written
+    _write_csv(out / "sma.csv", sma_header, sma_rows)

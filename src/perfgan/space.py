@@ -44,6 +44,8 @@ class Dimension:
     def __post_init__(self) -> None:
         if len(self.levels) == 0:
             raise ValueError(f"dimension {self.name!r}: levels must be nonempty")
+        if not self.levels[0] >= 0:
+            raise ValueError(f"dimension {self.name!r}: levels must be nonnegative")
         for lo, hi in zip(self.levels, self.levels[1:]):
             if not lo < hi:
                 raise ValueError(

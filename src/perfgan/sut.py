@@ -61,7 +61,14 @@ class SyntheticSut:
 
     def measure(self, space: InputSpace, test_input: TestInput) -> float:
         """Power in watts for one configuration."""
-        n_b, f_b, u_b, n_l, f_l, u_l = space.physical_values(test_input)
+        return self._power(space, space.physical_values(test_input))
+
+    def peak_power(self, space: InputSpace) -> float:
+        """Power at every dimension's top level: the maximum, as no level is negative."""
+        return self._power(space, tuple(d.levels[-1] for d in space.dims))
+
+    def _power(self, space: InputSpace, values: tuple[float, ...]) -> float:
+        n_b, f_b, u_b, n_l, f_l, u_l = values
         f_b_max = space.dims[1].levels[-1]
         f_l_max = space.dims[4].levels[-1]
         big = self.kappa_big * n_b * u_b * _freq_ratio_cubed(f_b, f_b_max)

@@ -157,6 +157,30 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+SPACE_FAULTS = {
+    # a negative CPU count makes power negative
+    "negative_level": ({0: [-4, -2, 0]}, "levels must be nonnegative"),
+    # cpus x utilization overflows to an infinite power
+    "infinite_power": ({0: [0, 1e200], 2: [0.1, 1e200]}, "power at the top level"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SPACE_FAULTS))
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_space_with_bad_power_is_config_error(tmp_path, capsys, command, fault):
+    levels, message = SPACE_FAULTS[fault]
+    space = json.loads(write_config(tmp_path).read_text())["space"]
+    for j, values in levels.items():
+        space[j]["levels"] = values
+    config = write_config(tmp_path, space=space)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config)]
+    assert main(argv + (["--out", str(out)] if command == "compare" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
 def test_missing_config_exits_one(tmp_path):
     assert main(["oracle", "--config", str(tmp_path / "absent.json")]) == 1
 

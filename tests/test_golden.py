@@ -14,7 +14,9 @@ say why.
 The same short experiment, one run of every default variant, is also
 written to disk through `run_experiment`, and each of its four output
 files is pinned by its sha256, so a change to how the files are written
-shows up too.
+shows up too.  It is pinned twice: with the config's `gain`, and with
+`sut.target_density: 0.01` in its place, the calibrated path whose
+config echo in summary.json differs.
 
 The digests were recorded with numpy 2.4 and OpenBLAS 0.3 on x86-64.  A
 different BLAS may round a network output differently and, at an exact
@@ -29,7 +31,7 @@ from pathlib import Path
 import pytest
 
 from perfgan.generators import run_dn, run_ogan, run_random
-from perfgan.harness import load_config, run_experiment
+from perfgan.harness import load_config, parse_config, run_experiment
 from perfgan.rng import derive_run_seed
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -61,6 +63,12 @@ GOLDEN_FILES = {
     "histogram.csv": "6e5b111f9f344d96432eafd3f891698be2e7d9b3d18dc2a137059a12458d3801",
     "sma.csv": "5266ee8f964ea25542462324eebb939acc8754d2efb804e2067fbed52e80b245",
 }
+# the same with the gain calibrated from target_density 0.01: the default
+# gain is that calibration, so only the config echo moves
+GOLDEN_CALIBRATED_FILES = {
+    **GOLDEN_FILES,
+    "summary.json": "9865367a45f8806e34bd09b8dedd0412f6a24451a3bc1b3f5afa34f69a7ca2e6",
+}
 
 
 def suite_digest(suite):
@@ -83,15 +91,26 @@ def test_suite_matches_golden_digest(case):
     assert suite_digest(suite) == digest
 
 
-def test_experiment_files_match_golden_digests(tmp_path):
-    cfg = load_config(CONFIG, output_dir=tmp_path)
+def experiment_file_digests(cfg):
     short = [
         replace(v, config=replace(v.config, budget=60, warmup=50))
         for v in cfg.algorithms
     ]
     run_experiment(replace(cfg, algorithms=short, runs=1))
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    return {
+        name: hashlib.sha256((cfg.output_dir / name).read_bytes()).hexdigest()
         for name in GOLDEN_FILES
     }
-    assert digests == GOLDEN_FILES
+
+
+def test_experiment_files_match_golden_digests(tmp_path):
+    cfg = load_config(CONFIG, output_dir=tmp_path)
+    assert experiment_file_digests(cfg) == GOLDEN_FILES
+
+
+def test_calibrated_experiment_files_match_golden_digests(tmp_path):
+    raw = json.loads(CONFIG.read_text())
+    del raw["sut"]["gain"]
+    raw["sut"]["target_density"] = 0.01
+    cfg = parse_config(raw, output_dir=tmp_path)
+    assert experiment_file_digests(cfg) == GOLDEN_CALIBRATED_FILES

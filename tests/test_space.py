@@ -41,6 +41,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Dimension("bad", ())
 
+    def test_levels_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Dimension("bad", (-1.0, 0.0))
+        Dimension("ok", (0.0, 1.0))
+
     def test_exactly_six_dimensions(self):
         dims = tuple(Dimension(f"d{j}", (0.0, 1.0)) for j in range(5))
         with pytest.raises(ValueError):

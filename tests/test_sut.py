@@ -64,6 +64,13 @@ class TestMeasure:
                     bumped = t[:j] + (t[j] + 1,) + t[j + 1 :]
                     assert sut.measure(space, bumped) >= base
 
+    def test_peak_power_is_the_top_input_and_the_maximum(self):
+        sut = SyntheticSut(gain=2.0046654031199886)
+        space = default_space()
+        top = tuple(n - 1 for n in space.level_counts)
+        assert sut.peak_power(space) == sut.measure(space, top)
+        assert sut.peak_power(space) == pytest.approx(sut.power_grid(space).max(), abs=1e-12)
+
     def test_grid_matches_scalar_measure_exhaustively(self):
         sut = SyntheticSut(gain=1.7)
         space = toy_space()
