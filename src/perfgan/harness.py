@@ -368,7 +368,8 @@ def summarize(cfg: ExperimentConfig, results: list[RunResult]) -> dict:
         positives = [suite_stats(s).positive_count for s in suites]
         all_fitness = [rec.fitness for s in suites for rec in s.records]
         post = [rec for s in suites for rec in s.records[variant.config.warmup:]]
-        mean_series = np.array([[rec.fitness for rec in s.records] for s in suites]).mean(axis=0)
+        per_index = np.array([[rec.fitness for rec in s.records] for s in suites])
+        mean_series = per_index.mean(axis=0)
         algorithms[variant.label] = {
             "kind": variant.kind,
             "positive_counts": positives,
