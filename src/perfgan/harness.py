@@ -193,6 +193,22 @@ def _field_types(cls: type) -> dict[str, type]:
     return types
 
 
+def _reject_unknown(raw: dict, known: Iterable[str], prefix: str) -> None:
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ConfigError(f"{prefix}{sorted(unknown)[0]}: unknown field")
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    # json.loads object hook: a repeated key is an error, not last-one-wins
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"{key}: repeated key")
+        obj[key] = value
+    return obj
+
+
 def _scalar_fields() -> list[str]:
     """The top-level keys besides the sections: ExperimentConfig's integer
     fields (output_dir comes from the caller, target_density from `sut`)."""
@@ -209,9 +225,7 @@ def _section(cls: type, raw: Any, path: str, extra: tuple[str, ...] = ()) -> Any
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected an object")
     types = _field_types(cls)
-    unknown = set(raw) - set(types) - set(extra)
-    if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown field")
+    _reject_unknown(raw, [*types, *extra], f"{path}.")
     kwargs = {}
     for key, value in raw.items():
         if key in types:
@@ -234,6 +248,7 @@ def _load_space(raw: Any) -> InputSpace:
         path = f"space[{j}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: expected an object")
+        _reject_unknown(entry, ("name", "levels"), f"{path}.")
         name = _require(entry, "name", path)
         if name != DIMENSION_ROLES[j]:
             raise ConfigError(f"{path}.name: expected {DIMENSION_ROLES[j]!r}, got {name!r}")
@@ -265,7 +280,7 @@ def _load_algorithm(raw: Any, index: int) -> AlgorithmVariant:
 def load_config(path: str | Path, output_dir: str | Path | None = None) -> ExperimentConfig:
     """Parse and validate a JSON experiment configuration file."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"not valid JSON: {exc}") from exc
     except FileNotFoundError:
@@ -287,10 +302,9 @@ def parse_config(raw: dict, output_dir: str | Path | None = None) -> ExperimentC
         raise ConfigError("algorithms: expected a nonempty array")
     algorithms = [_load_algorithm(entry, i) for i, entry in enumerate(algorithms_raw)]
     kwargs: dict[str, Any] = dict(space=space, sut=sut, fitness=fitness, algorithms=algorithms)
+    _reject_unknown(raw, [*kwargs, *_scalar_fields()], "")
     for key, value in raw.items():
-        if key not in kwargs:
-            if key not in _scalar_fields():
-                raise ConfigError(f"{key}: unknown field")
+        if key in _scalar_fields():
             kwargs[key] = _as_int(value, key)
     cfg = ExperimentConfig(
         **kwargs, output_dir=Path(output_dir) if output_dir is not None else None

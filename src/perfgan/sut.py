@@ -2,15 +2,14 @@
 
 Stands in for a benchmark running on a big.LITTLE board.  Each cluster
 contributes dynamic power proportional to active CPUs x utilization x
-(frequency/max frequency)^3, on top of a constant idle draw.  The cubic
-frequency term follows the usual dynamic-power scaling where supply
-voltage rises with clock frequency.
+(frequency/max frequency)^3, on top of a constant idle draw; the cube
+follows dynamic-power scaling, where supply voltage rises with frequency.
 
 The threshold p_m declares a configuration a positive test when its
 power meets it; fitness compresses power onto [0, 1] as min(1, power/p_m).
-Because the space is exhaustively enumerable, the exact positive set is
-available as a brute-force oracle, and the model's `gain` can be
-calibrated so positives make up a requested fraction of the space.
+The space is exhaustively enumerable, so the exact positive set comes
+from a brute-force oracle whose grid is `measure` at every input, bit
+for bit, and `gain` can be calibrated to a requested positive fraction.
 """
 
 from __future__ import annotations
@@ -67,40 +66,41 @@ class SyntheticSut:
         """Power at every dimension's top level: the maximum, as no level is negative."""
         return self._power(space, tuple(d.levels[-1] for d in space.dims))
 
+    def power_grid(self, space: InputSpace) -> np.ndarray:
+        """Power for every configuration, flat in enumeration order: `measure`
+        at every input, bit for bit, in one grid scaled in place."""
+        return self._scale(self._dynamic_at_every_input(space))
+
     def _power(self, space: InputSpace, values: tuple[float, ...]) -> float:
         n_b, f_b, u_b, n_l, f_l, u_l = values
-        f_b_max = space.dims[1].levels[-1]
-        f_l_max = space.dims[4].levels[-1]
-        big = self.kappa_big * n_b * u_b * _freq_ratio_cubed(f_b, f_b_max)
-        little = self.kappa_little * n_l * u_l * _freq_ratio_cubed(f_l, f_l_max)
-        return self.p_idle + self.gain * (big + little)
+        c_b = _freq_ratio_cubed(f_b, space.dims[1].levels[-1])
+        c_l = _freq_ratio_cubed(f_l, space.dims[4].levels[-1])
+        return self._scale(self._dynamic(n_b, c_b, u_b, n_l, c_l, u_l))
 
-    def power_grid(self, space: InputSpace) -> np.ndarray:
-        """Power for every configuration, flat in enumeration order; the
-        one grid is scaled in place."""
-        grid = _dynamic_grid(space, self.kappa_big, self.kappa_little)
-        grid *= self.gain
-        grid += self.p_idle
-        return grid
+    def _dynamic_at_every_input(self, space: InputSpace) -> np.ndarray:
+        # one new array, flat in enumeration order
+        n_b, f_b, u_b, n_l, f_l, u_l = (d.levels for d in space.dims)
+        c_b = [_freq_ratio_cubed(f, f_b[-1]) for f in f_b]
+        c_l = [_freq_ratio_cubed(f, f_l[-1]) for f in f_l]
+        return self._dynamic(*np.ix_(n_b, c_b, u_b, n_l, c_l, u_l)).reshape(-1)
+
+    def _dynamic(self, n_b, c_b, u_b, n_l, c_l, u_l):
+        """The power model before gain, ((kappa*n)*u)*c per cluster with c = (f/f_max)^3:
+        on one input's floats, or on np.ix_ level arrays, which round alike."""
+        return self.kappa_big * n_b * u_b * c_b + self.kappa_little * n_l * u_l * c_l
+
+    def _scale(self, dynamic):
+        """gain * dynamic + p_idle: a float, or an array scaled in place."""
+        dynamic *= self.gain
+        dynamic += self.p_idle
+        return dynamic
 
 
 def _freq_ratio_cubed(f: float, f_max: float) -> float:
+    # Python's pow on every path: numpy's may round differently (SIMD)
     if f_max <= 0:
         return 0.0
     return (f / f_max) ** 3
-
-
-def _dynamic_grid(space: InputSpace, kappa_big: float, kappa_little: float) -> np.ndarray:
-    """Dynamic power term (gain excluded) for the whole space, flat C-order."""
-    n_b, f_b, u_b, n_l, f_l, u_l = (np.asarray(d.levels) for d in space.dims)
-    c_b = np.array([_freq_ratio_cubed(f, f_b[-1]) for f in f_b])
-    c_l = np.array([_freq_ratio_cubed(f, f_l[-1]) for f in f_l])
-    big = kappa_big * np.einsum("i,j,k->ijk", n_b, c_b, u_b)
-    little = kappa_little * np.einsum("i,j,k->ijk", n_l, c_l, u_l)
-    total = (
-        big[:, :, :, None, None, None] + little[None, None, None, :, :, :]
-    )
-    return total.reshape(-1)
 
 
 def fitness(spec: FitnessSpec, power: float) -> float:
@@ -145,12 +145,10 @@ def calibrate_gain(
         raise ValueError("target_density must lie in (0, 1)")
     headroom = spec.p_m - sut.p_idle
     if headroom <= 0:
-        raise CalibrationError(
-            f"threshold {spec.p_m} not above idle power {sut.p_idle}"
-        )
+        raise CalibrationError(f"threshold {spec.p_m} not above idle power {sut.p_idle}")
     # one grid: partitioned in place, then scaled in place into the powers
     # (power_grid's order) to count the achieved density
-    dynamic = _dynamic_grid(space, sut.kappa_big, sut.kappa_little)
+    dynamic = sut._dynamic_at_every_input(space)
     n = dynamic.size
     want = max(1, round(target_density * n))
     dynamic.partition(n - want)
@@ -158,9 +156,7 @@ def calibrate_gain(
     if kth <= 0:
         raise CalibrationError("space has too little dynamic-power variation")
     calibrated = replace(sut, gain=headroom / kth)
-    dynamic *= calibrated.gain
-    dynamic += calibrated.p_idle
-    achieved = np.count_nonzero(dynamic >= spec.p_m) / n
+    achieved = np.count_nonzero(calibrated._scale(dynamic) >= spec.p_m) / n
     if not 0.5 * target_density <= achieved <= 2.0 * target_density:
         raise CalibrationError(
             f"achieved density {achieved:.5f} outside "

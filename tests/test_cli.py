@@ -181,6 +181,18 @@ def test_space_with_bad_power_is_config_error(tmp_path, capsys, command, fault):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_repeated_key_is_config_error(tmp_path, capsys, command):
+    config = write_config(tmp_path)
+    text = config.read_text()
+    config.write_text(text.replace('"runs": 2', '"runs": 10, "runs": 2', 1))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config)]
+    assert main(argv + (["--out", str(out)] if command == "compare" else [])) == 1
+    assert "config error: runs: repeated key" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_exits_one(tmp_path):
     assert main(["oracle", "--config", str(tmp_path / "absent.json")]) == 1
 

@@ -220,8 +220,9 @@ class TestConfigLoading:
             (lambda raw: raw, r"^bogus"),
             (lambda raw: raw["algorithms"][1], r"algorithms\[1\]\.bogus"),
             (lambda raw: raw["algorithms"][1]["gan"], r"algorithms\[1\]\.gan\.bogus"),
+            (lambda raw: raw["space"][0], r"space\[0\]\.bogus"),
         ],
-        ids=["sut", "fitness", "top_level", "algorithm", "gan"],
+        ids=["sut", "fitness", "top_level", "algorithm", "gan", "space"],
     )
     def test_unknown_key_rejected(self, tmp_path, where, expected):
         bad = config_dict()

@@ -11,13 +11,13 @@ from perfgan.space import (
     cardinality,
     default_space,
     enumerate_inputs,
+    unrank,
 )
 from perfgan.sut import (
     CalibrationError,
     FitnessSpec,
     SyntheticSut,
     calibrate_gain,
-    _dynamic_grid,
     fitness,
     oracle_positive_count,
     oracle_positive_set,
@@ -69,31 +69,42 @@ class TestMeasure:
         space = default_space()
         top = tuple(n - 1 for n in space.level_counts)
         assert sut.peak_power(space) == sut.measure(space, top)
-        assert sut.peak_power(space) == pytest.approx(sut.power_grid(space).max(), abs=1e-12)
+        assert sut.peak_power(space) == sut.power_grid(space).max()
 
     def test_grid_matches_scalar_measure_exhaustively(self):
         sut = SyntheticSut(gain=1.7)
         space = toy_space()
         grid = sut.power_grid(space)
         for i, t in enumerate(enumerate_inputs(space)):
-            assert grid[i] == pytest.approx(sut.measure(space, t), abs=1e-12)
+            assert grid[i] == sut.measure(space, t)
 
     def test_grid_matches_scalar_measure_sampled_on_default(self):
         sut = SyntheticSut(gain=2.0046654031199886)
         space = default_space()
         grid = sut.power_grid(space)
         rng = np.random.default_rng(0)
-        from perfgan.space import unrank
-
         for r in rng.integers(0, cardinality(space), size=200):
-            t = unrank(space, int(r))
-            assert grid[int(r)] == pytest.approx(sut.measure(space, t), abs=1e-12)
+            assert grid[int(r)] == sut.measure(space, unrank(space, int(r)))
 
-    def test_grid_is_idle_plus_gain_times_dynamic_bit_for_bit(self):
+    def test_grid_is_measure_bit_for_bit_at_other_constants(self):
         sut = SyntheticSut(p_idle=0.7, kappa_little=0.2, gain=2.0046654031199886)
         space = default_space()
-        want = sut.p_idle + sut.gain * _dynamic_grid(space, sut.kappa_big, sut.kappa_little)
-        assert sut.power_grid(space).tobytes() == want.tobytes()
+        grid = sut.power_grid(space)
+        ranks = np.random.default_rng(1).integers(0, cardinality(space), size=2000)
+        got = [grid[int(r)] for r in ranks]
+        assert got == [sut.measure(space, unrank(space, int(r))) for r in ranks]
+
+    def test_grid_stays_finite_where_the_peak_is(self):
+        # kappa small enough that a different multiplication order
+        # overflows: (1e155 * 1e155) is inf, (1e-10 * 1e155) * 1e155 is not
+        dims = list(default_space().dims)
+        dims[0] = Dimension("big_cpus", (0.0, 1e155))
+        dims[2] = Dimension("big_util", (0.1, 1e155))
+        space = InputSpace(dims=tuple(dims))
+        sut = SyntheticSut(kappa_big=1e-10, gain=2.0046654031199886)
+        grid = sut.power_grid(space)
+        assert np.isfinite(grid).all()
+        assert grid.max() == sut.peak_power(space)
 
     @pytest.mark.parametrize(
         "call",
