@@ -132,18 +132,20 @@ def train_generator(
     frozen discriminator only relays its input gradient, and the
     generator's gradient with respect to the noise is never computed.
     Both passes write into arrays the training copy owns for this call,
-    one set for the generator and one for the frozen discriminator; no
-    loss is computed.
+    the noise too (rng.random, *2, -1: rng.uniform(-1, 1) bit for bit);
+    no loss is computed.
     """
     n = hp.gen_samples_per_round or max(32, suite_size)
     own = TrainingCopy(gan.generator, gan.gen_opt)
     gen, disc = own.arrays(own.state, n), own.arrays(gan.discriminator, n)
     ones = np.ones((n, 1))
     for _ in range(hp.gen_epochs):
-        noise = rng.uniform(-1.0, 1.0, size=(n, LATENT_DIM))
+        noise = rng.random(out=gen.inputs)
+        np.subtract(np.multiply(noise, 2.0, out=noise), 1.0, out=noise)
         forward_trace(own.state, noise, out=gen.trace)
         forward_trace(gan.discriminator, gen.trace.output, out=disc.trace)
-        own.step(gen, disc.relay(ones))
+        own.backward(gen, disc.relay(ones))
+        own.update()
     return replace(gan, generator=own.state, gen_opt=own.opt)
 
 

@@ -12,9 +12,9 @@ is proposed:
              snapped onto the grid.
 
 dn and ogan share one acceptance loop (`_search`): each inner pass
-decays the threshold by `treducer`, drops proposed candidates that were
-already executed, and accepts the best-predicted remaining one if it
-clears the threshold; the model retrains before every searched test.
+decays the threshold by `treducer`, takes the proposal's unexecuted
+candidates, and accepts the best-predicted one if it clears the
+threshold; the model retrains before every searched test.
 They differ only in their proposal, prediction and retraining.
 
 Every executed test records how many inner-loop passes and proposed
@@ -141,12 +141,12 @@ class SuiteStats:
 class _Searcher(NamedTuple):
     """What a learning algorithm plugs into the shared acceptance loop.
 
-    propose(suite, stalled) returns candidate ranks (stalled is true
-    past the stall guard); predict(candidates) returns one predicted
+    propose(suite, stalled) returns (trials, unexecuted candidates), with
+    stalled true past the stall guard; predict(candidates) returns one
     fitness per candidate; retrain(suite) updates the model in place.
     """
 
-    propose: Callable[[TestSuite, bool], list[int]]
+    propose: Callable[[TestSuite, bool], tuple[int, list[int]]]
     predict: Callable[[list[int]], np.ndarray]
     retrain: Callable[[TestSuite], None]
 
@@ -190,8 +190,8 @@ def _search(
     the model trains on the nonempty suite before every searched test,
     so never after the last one.  Each pass multiplies the threshold by
     treducer, or sets it to exactly 0 past fallback_after passes; every
-    proposed candidate costs a trial, already-executed ones are dropped,
-    and the best prediction among the rest must reach the threshold.
+    proposed candidate costs a trial, executed ones included, and the
+    best prediction among the unexecuted ones must reach the threshold.
     """
     if cfg.budget > cardinality(space):
         raise ValueError(
@@ -213,9 +213,8 @@ def _search(
             passes += 1
             stalled = passes > cfg.fallback_after
             target = 0.0 if stalled else target * cfg.treducer
-            proposed = searcher.propose(suite, stalled)
-            trials += len(proposed)
-            candidates = [r for r in proposed if r not in suite.executed]
+            proposed, candidates = searcher.propose(suite, stalled)
+            trials += proposed
             if not candidates:
                 continue
             predictions = searcher.predict(candidates)
@@ -257,9 +256,9 @@ def run_dn(
     opt = RmspropState.for_network(disc)
     total = cardinality(space)
 
-    def propose(suite: TestSuite, stalled: bool) -> list[int]:
+    def propose(suite: TestSuite, stalled: bool) -> tuple[int, list[int]]:
         batch = min(cfg.batchsize, total - len(suite))
-        return sample_uniform(space, suite.executed, batch, rng_sample)
+        return batch, sample_uniform(space, suite.executed, batch, rng_sample)
 
     def predict(candidates: list[int]) -> np.ndarray:
         return forward(disc, normalize_batch(space, candidates))[:, 0]
@@ -306,10 +305,10 @@ def run_ogan(
     noise = np.empty((0, LATENT_DIM))
     block: list[int] = []
 
-    def propose(suite: TestSuite, stalled: bool) -> list[int]:
+    def propose(suite: TestSuite, stalled: bool) -> tuple[int, list[int]]:
         nonlocal noise, block
         if stalled:
-            return sample_uniform(space, suite.executed, 1, rng_fallback)
+            return 1, sample_uniform(space, suite.executed, 1, rng_fallback)
         if not block:
             fresh = rng_latent.uniform(
                 -1.0, 1.0, size=(PROPOSAL_BLOCK - len(noise), LATENT_DIM)
@@ -317,7 +316,8 @@ def run_ogan(
             noise = np.concatenate([noise, fresh])
             block = snap(space, sample_candidates(gan, noise)).tolist()
         noise = noise[1:]
-        return [block.pop(0)]
+        r = block.pop(0)
+        return 1, [] if r in suite.executed else [r]
 
     def predict(candidates: list[int]) -> np.ndarray:
         return predict_fitness(gan, normalize_batch(space, candidates))

@@ -11,12 +11,15 @@ which lets a generator train through a frozen downstream network.
 One forward kernel (`forward_trace`) and one backward kernel
 (`_backward`) write into the arrays they are given.  The public calls
 (`forward`, `forward_trace`, `backward` and `Trace.backward`) hand them
-fresh arrays.  A training call owns a copy of its network and RMSprop
-cache (`TrainingCopy`), made on entry and updated in place, and one
-`StepArrays` set per network and batch size, so a step allocates
-nothing.  It computes only what it reads: parameter gradients of the
-trained network (`TrainingCopy.step`), the input gradient of a frozen
-one (`StepArrays.relay`), and the loss in the last epoch only.
+fresh arrays.  A trace keeps one array per layer, the activation taken
+in place over the affine result, and backward spends its upstream
+gradient, writing each layer's dL/dz over it.  A training call owns a
+copy of its network and RMSprop cache (`TrainingCopy`), made on entry
+and updated in place, and one `StepArrays` set per network and batch
+size, so a step allocates nothing.  It computes only what it reads:
+parameter gradients of the trained network (`TrainingCopy.backward`),
+the input gradient of a frozen one (`StepArrays.relay`), and the loss
+in the last epoch only; the update spends the gradient buffer.
 
 All state is float64.  Public calls never mutate their arguments, so
 "this phase did not touch that network" is checkable by object identity
@@ -138,12 +141,12 @@ def _check_inputs(state: NetworkState, inputs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trace:
-    """One forward pass; zs[l] and activations[l + 1] belong to layer l
-    (the same array for a linear layer).  `backward` writes into fresh
-    arrays, so its results never alias one another."""
+    """One forward pass; activations[0] is the input and activations[l + 1]
+    the output of layer l.  `backward` copies the output gradient and
+    writes into fresh arrays, so it mutates nothing and its results never
+    alias one another."""
 
     state: NetworkState
-    zs: list[np.ndarray]
     activations: list[np.ndarray]
 
     @property
@@ -153,34 +156,30 @@ class Trace:
     def backward(self, output_grad: np.ndarray) -> Gradients:
         """Backpropagate an upstream dL/d(output); feeding one network's
         input gradient in here trains an upstream network through it."""
-        grad = np.asarray(output_grad, dtype=np.float64)
+        grad = np.array(output_grad, dtype=np.float64)
         if grad.shape != self.output.shape:
             raise ValueError(f"output_grad must be {self.output.shape}, got {grad.shape}")
         weight_grads = [np.empty_like(w) for w in self.state.weights]
         bias_grads = [np.empty_like(b) for b in self.state.biases]
-        input_grad = _backward(self, grad, (weight_grads, bias_grads), True,
-                               *_backward_arrays(self))
+        input_grad = _backward(self, grad, (weight_grads, bias_grads),
+                               *_backward_arrays(self.state, len(grad), True))
         return Gradients(weight_grads, bias_grads, input_grad)
 
 
 def _new_trace(state: NetworkState, inputs: np.ndarray) -> Trace:
     """A trace of `state` over `inputs` with fresh, unwritten layer arrays."""
-    zs, activations = [], [inputs]
-    for layer in state.topology.layers:
-        zs.append(np.empty((len(inputs), layer.units)))
-        activations.append(zs[-1] if layer.activation == "linear" else np.empty_like(zs[-1]))
-    return Trace(state, zs, activations)
+    layers = state.topology.layers
+    return Trace(state, [inputs] + [np.empty((len(inputs), l.units)) for l in layers])
 
 
-def _backward_arrays(trace: Trace) -> tuple[list, list]:
-    """Fresh arrays for a backward pass through `trace`: dL/dz per layer
-    (None for a linear layer, whose dz is its upstream gradient) and
-    dL/d(input) per layer."""
-    dzs = [
-        None if layer.activation == "linear" else np.empty_like(z)
-        for layer, z in zip(trace.state.topology.layers, trace.zs)
-    ]
-    return dzs, [np.empty_like(a) for a in trace.activations[:-1]]
+def _backward_arrays(state: NetworkState, rows: int, relays: bool) -> tuple[list, list]:
+    """Fresh arrays for a backward pass of `state` at `rows` rows: one
+    scratch array's views, one per layer for its local derivative, and
+    dL/d(input) per layer, layer 0's None unless the pass `relays` it."""
+    scratch = np.empty(rows * max(l.units for l in state.topology.layers))
+    views = [scratch[: rows * l.units].reshape(rows, l.units) for l in state.topology.layers]
+    return views, [np.empty((rows, len(w))) if l or relays else None
+                   for l, w in enumerate(state.weights)]
 
 
 def forward_trace(state: NetworkState, inputs: np.ndarray, out: Trace | None = None) -> Trace:
@@ -192,16 +191,16 @@ def forward_trace(state: NetworkState, inputs: np.ndarray, out: Trace | None = N
     trace = _new_trace(state, inputs) if out is None else out
     activations = trace.activations
     activations[0] = inputs
-    for layer, w, b, z, a, out_a in zip(
-        state.topology.layers, state.weights, state.biases, trace.zs, activations, activations[1:]
+    for layer, w, b, a, z in zip(
+        state.topology.layers, state.weights, state.biases, activations, activations[1:]
     ):
         # np.dot: the BLAS call of `@`, bit for bit, with less overhead
         np.dot(a, w, out=z)
         z += b
         if layer.activation == "tanh":
-            np.tanh(z, out=out_a)
+            np.tanh(z, out=z)
         elif layer.activation == "relu":
-            np.maximum(z, 0.0, out=out_a)
+            np.maximum(z, 0.0, out=z)
     return trace
 
 
@@ -219,30 +218,31 @@ def _mse_grad(output, targets, grad: np.ndarray, sq: np.ndarray | None):
     return loss
 
 
-def _backward(trace: Trace, grad, param_grads, want_input, dzs, input_grads):
+def _backward(trace: Trace, grad, param_grads, scratch, input_grads):
     """Reverse layer loop over `trace`, into the given arrays.
 
+    Spends `grad`, dL/d(output): layer l's dL/dz is written over the
+    gradient it receives, with its local derivative in `scratch[l]`.
     `param_grads` is (weight_grads, bias_grads), or None to skip them;
-    want_input False skips layer 0's input gradient, which only a frozen
-    network relays.  Returns the last input gradient computed."""
-    state, zs, activations = trace.state, trace.zs, trace.activations
+    `input_grads[0]` None skips layer 0's input gradient, which only a
+    frozen network relays.  Returns the last input gradient computed."""
+    state, activations = trace.state, trace.activations
     for l in range(len(state.weights) - 1, -1, -1):
-        activation, dz = state.topology.layers[l].activation, dzs[l]
+        activation, a, local = state.topology.layers[l].activation, activations[l + 1], scratch[l]
         if activation == "tanh":
             # grad * (1 - a*a)
-            np.multiply(activations[l + 1], activations[l + 1], out=dz)
-            np.subtract(1.0, dz, out=dz)
-            dz *= grad
+            np.multiply(a, a, out=local)
+            np.subtract(1.0, local, out=local)
+            grad *= local
         elif activation == "relu":
-            np.greater(zs[l], 0.0, out=dz, casting="unsafe")
-            dz *= grad
-        else:
-            dz = grad
+            # a > 0 exactly where z > 0, ±0 and NaN included
+            np.greater(a, 0.0, out=local, casting="unsafe")
+            grad *= local
         if param_grads is not None:
-            np.dot(activations[l].T, dz, out=param_grads[0][l])
-            np.add.reduce(dz, axis=0, out=param_grads[1][l])
-        if l > 0 or want_input:
-            grad = np.dot(dz, state.weights[l].T, out=input_grads[l])
+            np.dot(activations[l].T, grad, out=param_grads[0][l])
+            np.add.reduce(grad, axis=0, out=param_grads[1][l])
+        if input_grads[l] is not None:
+            grad = np.dot(grad, state.weights[l].T, out=input_grads[l])
     return grad
 
 
@@ -287,20 +287,21 @@ def _split(flat: np.ndarray, state: NetworkState) -> tuple[list, list]:
 
 class StepArrays:
     """A training call's arrays for one network at one batch size, reused
-    by every step: the forward trace, the backward pass's arrays, and the
-    batch's inputs, targets, output gradient and squared error."""
+    by every step: the batch's inputs, the forward trace, the backward
+    pass's arrays (see `_backward_arrays`), and the batch's targets,
+    output gradient (which backward spends) and squared error."""
 
-    def __init__(self, state: NetworkState, rows: int) -> None:
+    def __init__(self, state: NetworkState, rows: int, relays: bool) -> None:
         self.inputs = np.empty((rows, state.topology.input_dim))
         self.trace = _new_trace(state, self.inputs)
-        self.dzs, self.input_grads = _backward_arrays(self.trace)
+        self.scratch, self.input_grads = _backward_arrays(state, rows, relays)
         self.targets, self.grad, self.sq = np.empty((3, rows, state.topology.output_dim))
 
     def relay(self, targets: np.ndarray) -> np.ndarray:
         """dL/d(inputs) of loss_mse(output, targets), which a frozen
         network passes upstream."""
         _mse_grad(self.trace.output, targets, self.grad, None)
-        return _backward(self.trace, self.grad, None, True, self.dzs, self.input_grads)
+        return _backward(self.trace, self.grad, None, self.scratch, self.input_grads)
 
 
 class TrainingCopy:
@@ -316,36 +317,33 @@ class TrainingCopy:
         self.state = NetworkState(state.topology, *_split(self.params, state))
         self.opt = RmspropState(*_split(self.cache, state))
         self.grad_views = _split(self.grads, state)
-        self.scratch = np.empty((2, self.params.size))
+        self.scratch = np.empty_like(self.params)
         self.step_arrays: dict[tuple[int, int], StepArrays] = {}
 
     def arrays(self, state: NetworkState, rows: int) -> StepArrays:
-        """The arrays for `state` (this copy's or a frozen network) at
-        `rows` rows, built on first use."""
+        """The arrays for `state` (this copy's, or a frozen network that
+        relays its input gradient) at `rows` rows, built on first use."""
         key = (id(state), rows)
         if key not in self.step_arrays:
-            self.step_arrays[key] = StepArrays(state, rows)
+            self.step_arrays[key] = StepArrays(state, rows, state is not self.state)
         return self.step_arrays[key]
 
-    def step(self, arrays: StepArrays, output_grad: np.ndarray) -> None:
-        """Backpropagate through `arrays.trace`, a pass of `state`, then update."""
-        _backward(
-            arrays.trace, output_grad, self.grad_views, False, arrays.dzs, arrays.input_grads
-        )
-        self.update()
+    def backward(self, arrays: StepArrays, output_grad: np.ndarray) -> None:
+        """Gradients through `arrays.trace`, a pass of `state`, into the
+        gradient buffer; spends `output_grad`.  `update` follows."""
+        _backward(arrays.trace, output_grad, self.grad_views, arrays.scratch, arrays.input_grads)
 
     def update(self) -> None:
-        """One RMSprop step from the gradient buffer, in place."""
+        """One RMSprop step from the gradient buffer, in place; spends the buffer."""
         lr, rho, eps = RMSPROP_LEARNING_RATE, RMSPROP_RHO, RMSPROP_EPSILON
-        p, g, c = self.params, self.grads, self.cache
-        t, d = self.scratch
+        p, g, c, t = self.params, self.grads, self.cache, self.scratch
         # cache <- rho*cache + ((1-rho)*g)*g; the other order of the
         # products differs in the last bits
         c *= rho
         c += np.multiply(np.multiply(g, 1.0 - rho, out=t), g, out=t)
         # param <- param - (lr*g) / (sqrt(cache) + epsilon)
-        np.add(np.sqrt(c, out=d), eps, out=d)
-        p -= np.divide(np.multiply(g, lr, out=t), d, out=t)
+        np.add(np.sqrt(c, out=t), eps, out=t)
+        p -= np.divide(np.multiply(g, lr, out=g), t, out=g)
 
 
 def rmsprop_step(
@@ -408,5 +406,6 @@ def train_epochs(
             )
             if last:
                 total += loss * len(batch)
-            own.step(arrays, arrays.grad)
+            own.backward(arrays, arrays.grad)
+            own.update()
     return own.state, own.opt, float(total / n)

@@ -1,6 +1,7 @@
 """Online GAN: topology, sampling, two-phase training, phase isolation."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,19 @@ class TestTrainGenerator:
         for _ in range(2):
             expected.uniform(-1.0, 1.0, size=(rows, LATENT_DIM))
         assert rng.bit_generator.state == expected.bit_generator.state
+
+    def test_working_set_at_199_noise_rows(self):
+        # one array per layer, dz written over the upstream gradient, one
+        # update scratch and the noise drawn into the owned input array
+        gan, hp = fresh_gan(25), GanHyperparams()
+        train_generator(gan, hp, np.random.default_rng(16), suite_size=199)
+        tracemalloc.start()
+        try:
+            train_generator(gan, hp, np.random.default_rng(16), suite_size=199)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6
 
     def test_one_trace_per_network_per_step(self, monkeypatch):
         # each step runs the generator and the discriminator forward once;

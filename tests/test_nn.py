@@ -235,12 +235,13 @@ class TestBackward:
         targets = rng.uniform(-1, 1, (40, specs[-1][0]))
         trace = forward_trace(net, x)
         full = trace.backward(output_grad)
-        # TrainingCopy.step leaves its parameter gradients in grad_views
+        # TrainingCopy.backward leaves its parameter gradients in
+        # grad_views until update spends them
         own = nn.TrainingCopy(net, RmspropState.for_network(net))
         arrays = own.arrays(own.state, 40)
         arrays.inputs[:] = x
         forward_trace(own.state, arrays.inputs, out=arrays.trace)
-        own.step(arrays, output_grad)
+        own.backward(arrays, output_grad.copy())
         weight_grads, bias_grads = own.grad_views
         for a, b in zip(full.weight_grads + full.bias_grads, weight_grads + bias_grads):
             assert a.tobytes() == b.tobytes()
@@ -254,14 +255,20 @@ class TestBackward:
     def test_backward_results_share_no_memory(self):
         net = make_net(3, [(4, "tanh"), (2, "linear")], seed=14)
         trace = forward_trace(net, np.random.default_rng(15).uniform(-1, 1, (5, 3)))
-        output_grad = np.ones((5, 2))
-        first, second = trace.backward(output_grad), trace.backward(output_grad)
+        output_grad = np.random.default_rng(16).normal(size=(5, 2))
+        saved = output_grad.copy()
+        first = trace.backward(output_grad)
+        assert output_grad.tobytes() == saved.tobytes()
+        second = trace.backward(output_grad)
+        assert output_grad.tobytes() == saved.tobytes()
 
         def arrays(grads):
             return grads.weight_grads + grads.bias_grads + [grads.input_grad]
 
+        for a, b in zip(arrays(first), arrays(second), strict=True):
+            assert a.tobytes() == b.tobytes()
         for a in arrays(first):
-            for b in arrays(second) + [output_grad] + trace.zs + trace.activations:
+            for b in arrays(second) + [output_grad] + trace.activations:
                 assert not np.shares_memory(a, b)
 
     def test_from_output_grad_shape_contract(self):
@@ -619,7 +626,7 @@ class TestTrainingKernel:
         x, y = data.uniform(-1, 1, (10, 3)), data.uniform(-1, 1, (10, 2))
         opt = RmspropState.for_network(net)
         probe = forward_trace(net, x)
-        before = [a.copy() for a in probe.zs + probe.activations]
+        before = [a.copy() for a in probe.activations]
         results = [
             train_epochs(net, (x, y), opt, 3, 4, np.random.default_rng(5)) for _ in range(2)
         ]
@@ -633,5 +640,5 @@ class TestTrainingKernel:
             assert not any(np.shares_memory(a, b) for b in others)
         for a in arrays_of(second, second_opt):
             assert not any(np.shares_memory(a, b) for b in arguments)
-        for saved, array in zip(before, probe.zs + probe.activations, strict=True):
+        for saved, array in zip(before, probe.activations, strict=True):
             assert saved.tobytes() == array.tobytes()
