@@ -18,7 +18,6 @@ from perfgan import (
     run_dn,
     run_ogan,
     run_random,
-    suite_stats,
 )
 from perfgan.rng import derive_run_seed
 
@@ -40,9 +39,8 @@ for name, runner in (("random", run_random), ("dn bs=4", run_dn),
     positives, fitness_means, iters, trials = [], [], [], []
     for seed in seeds:
         suite = runner(space, sut, spec, cfg, seed)
-        stats = suite_stats(suite)
-        positives.append(stats.positive_count)
-        fitness_means.append(stats.mean_fitness)
+        positives.append(suite.positive_count)
+        fitness_means.append(np.mean([r.fitness for r in suite.records]))
         post = suite.records[cfg.warmup:]
         iters.append(np.mean([r.inner_iterations for r in post]))
         trials.append(np.mean([r.candidate_trials for r in post]))

@@ -21,13 +21,11 @@ from .gan import (
 )
 from .generators import (
     AlgorithmConfig,
-    SuiteStats,
     TestRecord,
     TestSuite,
     run_dn,
     run_ogan,
     run_random,
-    suite_stats,
 )
 from .harness import (
     ConfigError,

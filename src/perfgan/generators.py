@@ -59,7 +59,7 @@ from .sut import FitnessSpec, SutInterface, fitness
 PROPOSAL_BLOCK = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestRecord:
     """One executed test plus its inner-loop accounting.
 
@@ -83,13 +83,16 @@ class TestRecord:
 
 @dataclass
 class TestSuite:
-    """Ordered, duplicate-free executed tests; `_execute` keeps `executed`, their ranks."""
+    """Ordered, duplicate-free executed tests."""
 
     records: list[TestRecord] = field(default_factory=list)
-    executed: set[int] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @property
+    def positive_count(self) -> int:
+        return sum(r.fitness == 1.0 for r in self.records)
 
     def training_arrays(self, space: InputSpace) -> Dataset:
         """(normalized inputs (n, 6), measured fitness (n, 1)) for training."""
@@ -131,22 +134,16 @@ class AlgorithmConfig:
             raise ValueError("fallback_after must be >= 1")
 
 
-@dataclass(frozen=True)
-class SuiteStats:
-    positive_count: int
-    mean_fitness: float | None
-    fitness_series: list[float]
-
-
 class _Searcher(NamedTuple):
     """What a learning algorithm plugs into the shared acceptance loop.
 
-    propose(suite, stalled) returns (trials, unexecuted candidates), with
-    stalled true past the stall guard; predict(candidates) returns one
-    fitness per candidate; retrain(suite) updates the model in place.
+    propose(executed, stalled) returns (trials, candidates not among the
+    executed ranks), with stalled true past the stall guard;
+    predict(candidates) returns one fitness per candidate; retrain(suite)
+    updates the model in place.
     """
 
-    propose: Callable[[TestSuite, bool], tuple[int, list[int]]]
+    propose: Callable[[set[int], bool], tuple[int, list[int]]]
     predict: Callable[[list[int]], np.ndarray]
     retrain: Callable[[TestSuite], None]
 
@@ -156,13 +153,14 @@ def _execute(
     sut: SutInterface,
     spec: FitnessSpec,
     suite: TestSuite,
+    executed: set[int],
     r: int,
     inner_iterations: int,
     candidate_trials: int,
     threshold: float | None = None,
     prediction: float | None = None,
 ) -> None:
-    """Measure the input of rank r and append its record to the suite."""
+    """Measure the input of rank r; record it in `suite`, add r to `executed`."""
     test_input = unrank(space, r)
     power = sut.measure(space, test_input)
     try:
@@ -173,7 +171,7 @@ def _execute(
         TestRecord(test_input, power, fit, inner_iterations, candidate_trials,
                    len(suite), threshold, prediction)
     )
-    suite.executed.add(r)
+    executed.add(r)
 
 
 def _search(
@@ -197,11 +195,11 @@ def _search(
         raise ValueError(
             f"budget {cfg.budget} exceeds space cardinality {cardinality(space)}"
         )
-    suite = TestSuite()
+    suite, executed = TestSuite(), set()
     rng = stream_rng(seed, "warmup-sampling")
     for _ in range(cfg.warmup if searcher is not None else cfg.budget):
-        (r,) = sample_uniform(space, suite.executed, 1, rng)
-        _execute(space, sut, spec, suite, r, 1, 1)
+        (r,) = sample_uniform(space, executed, 1, rng)
+        _execute(space, sut, spec, suite, executed, r, 1, 1)
     if searcher is None:
         return suite
     while len(suite) < cfg.budget:
@@ -213,7 +211,7 @@ def _search(
             passes += 1
             stalled = passes > cfg.fallback_after
             target = 0.0 if stalled else target * cfg.treducer
-            proposed, candidates = searcher.propose(suite, stalled)
+            proposed, candidates = searcher.propose(executed, stalled)
             trials += proposed
             if not candidates:
                 continue
@@ -221,7 +219,7 @@ def _search(
             best = int(np.argmax(predictions))
             if predictions[best] >= target:
                 break
-        _execute(space, sut, spec, suite, candidates[best], passes, trials,
+        _execute(space, sut, spec, suite, executed, candidates[best], passes, trials,
                  target, float(predictions[best]))
     return suite
 
@@ -256,9 +254,9 @@ def run_dn(
     opt = RmspropState.for_network(disc)
     total = cardinality(space)
 
-    def propose(suite: TestSuite, stalled: bool) -> tuple[int, list[int]]:
-        batch = min(cfg.batchsize, total - len(suite))
-        return batch, sample_uniform(space, suite.executed, batch, rng_sample)
+    def propose(executed: set[int], stalled: bool) -> tuple[int, list[int]]:
+        batch = min(cfg.batchsize, total - len(executed))
+        return batch, sample_uniform(space, executed, batch, rng_sample)
 
     def predict(candidates: list[int]) -> np.ndarray:
         return forward(disc, normalize_batch(space, candidates))[:, 0]
@@ -305,10 +303,10 @@ def run_ogan(
     noise = np.empty((0, LATENT_DIM))
     block: list[int] = []
 
-    def propose(suite: TestSuite, stalled: bool) -> tuple[int, list[int]]:
+    def propose(executed: set[int], stalled: bool) -> tuple[int, list[int]]:
         nonlocal noise, block
         if stalled:
-            return 1, sample_uniform(space, suite.executed, 1, rng_fallback)
+            return 1, sample_uniform(space, executed, 1, rng_fallback)
         if not block:
             fresh = rng_latent.uniform(
                 -1.0, 1.0, size=(PROPOSAL_BLOCK - len(noise), LATENT_DIM)
@@ -317,7 +315,7 @@ def run_ogan(
             block = snap(space, sample_candidates(gan, noise)).tolist()
         noise = noise[1:]
         r = block.pop(0)
-        return 1, [] if r in suite.executed else [r]
+        return 1, [] if r in executed else [r]
 
     def predict(candidates: list[int]) -> np.ndarray:
         return predict_fitness(gan, normalize_batch(space, candidates))
@@ -328,11 +326,3 @@ def run_ogan(
         block = []
 
     return _search(space, sut, spec, cfg, seed, _Searcher(propose, predict, retrain))
-
-
-def suite_stats(suite: TestSuite) -> SuiteStats:
-    """Positive-test count, mean fitness (None when empty), fitness series."""
-    series = [r.fitness for r in suite.records]
-    positives = sum(1 for f in series if f == 1.0)
-    mean = float(np.mean(series)) if series else None
-    return SuiteStats(positive_count=positives, mean_fitness=mean, fitness_series=series)

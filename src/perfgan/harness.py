@@ -50,7 +50,6 @@ from .generators import (
     run_dn,
     run_ogan,
     run_random,
-    suite_stats,
 )
 from .rng import derive_run_seed
 from .space import DIMENSION_ROLES, Dimension, InputSpace, cardinality
@@ -351,7 +350,7 @@ def run_experiment(
             duration = time.perf_counter() - start
             log.info(
                 "%s run %d/%d: %d positives in %.2fs",
-                variant.label, i + 1, cfg.runs, suite_stats(suite).positive_count,
+                variant.label, i + 1, cfg.runs, suite.positive_count,
                 duration,
             )
             results.append(
@@ -379,7 +378,7 @@ def summarize(cfg: ExperimentConfig, results: list[RunResult]) -> dict:
     algorithms = {}
     for variant in cfg.algorithms:
         suites = [r.suite for r in results if r.algorithm == variant.label]
-        positives = [suite_stats(s).positive_count for s in suites]
+        positives = [s.positive_count for s in suites]
         all_fitness = [rec.fitness for s in suites for rec in s.records]
         post = [rec for s in suites for rec in s.records[variant.config.warmup:]]
         per_index = np.array([[rec.fitness for rec in s.records] for s in suites])

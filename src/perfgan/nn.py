@@ -12,14 +12,16 @@ One forward kernel (`forward_trace`) and one backward kernel
 (`_backward`) write into the arrays they are given.  The public calls
 (`forward`, `forward_trace`, `backward` and `Trace.backward`) hand them
 fresh arrays.  A trace keeps one array per layer, the activation taken
-in place over the affine result, and backward spends its upstream
-gradient, writing each layer's dL/dz over it.  A training call owns a
-copy of its network and RMSprop cache (`TrainingCopy`), made on entry
-and updated in place, and one `StepArrays` set per network and batch
-size, so a step allocates nothing.  It computes only what it reads:
-parameter gradients of the trained network (`TrainingCopy.backward`),
-the input gradient of a frozen one (`StepArrays.relay`), and the loss
-in the last epoch only; the update spends the gradient buffer.
+in place over the affine result, and backward spends the trace and its
+upstream gradient: each layer's local derivative is written over its
+output activation, and its dL/dz over the gradient it receives.  A
+training call owns a copy of its network and RMSprop cache
+(`TrainingCopy`), made on entry and updated in place, and one
+`StepArrays` set per network and batch size, so a step allocates
+nothing.  It computes only what it reads: parameter gradients of the
+trained network (`TrainingCopy.backward`), the input gradient of a
+frozen one (`StepArrays.relay`), and the loss in the last epoch only;
+the update spends the gradient buffer.
 
 All state is float64.  Public calls never mutate their arguments, so
 "this phase did not touch that network" is checkable by object identity
@@ -142,9 +144,9 @@ def _check_inputs(state: NetworkState, inputs: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Trace:
     """One forward pass; activations[0] is the input and activations[l + 1]
-    the output of layer l.  `backward` copies the output gradient and
-    writes into fresh arrays, so it mutates nothing and its results never
-    alias one another."""
+    the output of layer l.  `backward` copies the activations and the
+    output gradient and writes into fresh arrays, so it mutates nothing
+    and its results never alias one another."""
 
     state: NetworkState
     activations: list[np.ndarray]
@@ -161,8 +163,9 @@ class Trace:
             raise ValueError(f"output_grad must be {self.output.shape}, got {grad.shape}")
         weight_grads = [np.empty_like(w) for w in self.state.weights]
         bias_grads = [np.empty_like(b) for b in self.state.biases]
-        input_grad = _backward(self, grad, (weight_grads, bias_grads),
-                               *_backward_arrays(self.state, len(grad), True))
+        spent = Trace(self.state, [a.copy() for a in self.activations])
+        input_grad = _backward(spent, grad, (weight_grads, bias_grads),
+                               _input_grads(self.state, len(grad), True))
         return Gradients(weight_grads, bias_grads, input_grad)
 
 
@@ -172,14 +175,11 @@ def _new_trace(state: NetworkState, inputs: np.ndarray) -> Trace:
     return Trace(state, [inputs] + [np.empty((len(inputs), l.units)) for l in layers])
 
 
-def _backward_arrays(state: NetworkState, rows: int, relays: bool) -> tuple[list, list]:
-    """Fresh arrays for a backward pass of `state` at `rows` rows: one
-    scratch array's views, one per layer for its local derivative, and
-    dL/d(input) per layer, layer 0's None unless the pass `relays` it."""
-    scratch = np.empty(rows * max(l.units for l in state.topology.layers))
-    views = [scratch[: rows * l.units].reshape(rows, l.units) for l in state.topology.layers]
-    return views, [np.empty((rows, len(w))) if l or relays else None
-                   for l, w in enumerate(state.weights)]
+def _input_grads(state: NetworkState, rows: int, relays: bool) -> list:
+    """Fresh dL/d(input) arrays per layer of `state` at `rows` rows for a
+    backward pass, layer 0's None unless the pass `relays` it."""
+    return [np.empty((rows, len(w))) if l or relays else None
+            for l, w in enumerate(state.weights)]
 
 
 def forward_trace(state: NetworkState, inputs: np.ndarray, out: Trace | None = None) -> Trace:
@@ -218,26 +218,27 @@ def _mse_grad(output, targets, grad: np.ndarray, sq: np.ndarray | None):
     return loss
 
 
-def _backward(trace: Trace, grad, param_grads, scratch, input_grads):
+def _backward(trace: Trace, grad, param_grads, input_grads):
     """Reverse layer loop over `trace`, into the given arrays.
 
-    Spends `grad`, dL/d(output): layer l's dL/dz is written over the
-    gradient it receives, with its local derivative in `scratch[l]`.
-    `param_grads` is (weight_grads, bias_grads), or None to skip them;
-    `input_grads[0]` None skips layer 0's input gradient, which only a
-    frozen network relays.  Returns the last input gradient computed."""
+    Spends `trace` and `grad`, dL/d(output): layer l's local derivative
+    is written over its output activation, which no later iteration
+    reads, and its dL/dz over the gradient it receives.  `param_grads`
+    is (weight_grads, bias_grads), or None to skip them; `input_grads[0]`
+    None skips layer 0's input gradient, which only a frozen network
+    relays.  Returns the last input gradient computed."""
     state, activations = trace.state, trace.activations
     for l in range(len(state.weights) - 1, -1, -1):
-        activation, a, local = state.topology.layers[l].activation, activations[l + 1], scratch[l]
+        activation, a = state.topology.layers[l].activation, activations[l + 1]
         if activation == "tanh":
             # grad * (1 - a*a)
-            np.multiply(a, a, out=local)
-            np.subtract(1.0, local, out=local)
-            grad *= local
+            np.multiply(a, a, out=a)
+            np.subtract(1.0, a, out=a)
+            grad *= a
         elif activation == "relu":
             # a > 0 exactly where z > 0, ±0 and NaN included
-            np.greater(a, 0.0, out=local, casting="unsafe")
-            grad *= local
+            np.greater(a, 0.0, out=a, casting="unsafe")
+            grad *= a
         if param_grads is not None:
             np.dot(activations[l].T, grad, out=param_grads[0][l])
             np.add.reduce(grad, axis=0, out=param_grads[1][l])
@@ -287,21 +288,21 @@ def _split(flat: np.ndarray, state: NetworkState) -> tuple[list, list]:
 
 class StepArrays:
     """A training call's arrays for one network at one batch size, reused
-    by every step: the batch's inputs, the forward trace, the backward
-    pass's arrays (see `_backward_arrays`), and the batch's targets,
-    output gradient (which backward spends) and squared error."""
+    by every step: the batch's inputs, the forward trace (which backward
+    spends), the backward pass's input gradients (see `_input_grads`),
+    and the batch's targets, output gradient and squared error."""
 
     def __init__(self, state: NetworkState, rows: int, relays: bool) -> None:
         self.inputs = np.empty((rows, state.topology.input_dim))
         self.trace = _new_trace(state, self.inputs)
-        self.scratch, self.input_grads = _backward_arrays(state, rows, relays)
+        self.input_grads = _input_grads(state, rows, relays)
         self.targets, self.grad, self.sq = np.empty((3, rows, state.topology.output_dim))
 
     def relay(self, targets: np.ndarray) -> np.ndarray:
         """dL/d(inputs) of loss_mse(output, targets), which a frozen
-        network passes upstream."""
+        network passes upstream; spends the trace."""
         _mse_grad(self.trace.output, targets, self.grad, None)
-        return _backward(self.trace, self.grad, None, self.scratch, self.input_grads)
+        return _backward(self.trace, self.grad, None, self.input_grads)
 
 
 class TrainingCopy:
@@ -330,8 +331,8 @@ class TrainingCopy:
 
     def backward(self, arrays: StepArrays, output_grad: np.ndarray) -> None:
         """Gradients through `arrays.trace`, a pass of `state`, into the
-        gradient buffer; spends `output_grad`.  `update` follows."""
-        _backward(arrays.trace, output_grad, self.grad_views, arrays.scratch, arrays.input_grads)
+        gradient buffer; spends the trace and `output_grad`.  `update` follows."""
+        _backward(arrays.trace, output_grad, self.grad_views, arrays.input_grads)
 
     def update(self) -> None:
         """One RMSprop step from the gradient buffer, in place; spends the buffer."""

@@ -257,10 +257,13 @@ class TestBackward:
         trace = forward_trace(net, np.random.default_rng(15).uniform(-1, 1, (5, 3)))
         output_grad = np.random.default_rng(16).normal(size=(5, 2))
         saved = output_grad.copy()
+        saved_activations = [a.tobytes() for a in trace.activations]
         first = trace.backward(output_grad)
         assert output_grad.tobytes() == saved.tobytes()
+        assert [a.tobytes() for a in trace.activations] == saved_activations
         second = trace.backward(output_grad)
         assert output_grad.tobytes() == saved.tobytes()
+        assert [a.tobytes() for a in trace.activations] == saved_activations
 
         def arrays(grads):
             return grads.weight_grads + grads.bias_grads + [grads.input_grad]
