@@ -2,10 +2,10 @@
 
 Builds a small network, verifies the hand-written backward pass against
 central finite differences, steps a one-weight network through RMSprop
-with `rmsprop_step`, and fits a toy regression.
+with `rmsprop_step`, and fits a toy regression.  A network is two flat
+vectors, its parameters and their RMSprop cache; `weights[l]` and
+`biases[l]` are views of the parameters.
 """
-
-import copy
 
 import numpy as np
 
@@ -14,7 +14,6 @@ from perfgan import (
     LayerSpec,
     NetworkState,
     NetworkTopology,
-    RmspropState,
     backward,
     forward,
     init_network,
@@ -36,7 +35,7 @@ t = rng.uniform(-1, 1, size=(4, 1))
 grads = backward(net, x, t)
 
 h = 1e-5
-probe = copy.deepcopy(net)
+probe = net.copy()
 probe.weights[0][0, 0] += h
 up = loss_mse(forward(probe, x), t)
 probe.weights[0][0, 0] -= 2 * h
@@ -51,21 +50,20 @@ print(f"dL/dW[0,0]: analytic {analytic:.10f}, finite difference {fd:.10f}, "
 # First step with g=1 from cache=0: cache=0.1, step = 0.001/sqrt(0.1).
 print("RMSprop on a one-weight network (w=1, g=1 each step):")
 one = NetworkState(NetworkTopology(1, (LayerSpec(1, "linear"),)),
-                   [np.ones((1, 1))], [np.zeros(1)])
-one_opt = RmspropState.for_network(one)
+                   params=np.array([1.0, 0.0]), cache=np.zeros(2))
 unit_grad = Gradients([np.ones((1, 1))], [np.zeros(1)], np.zeros((1, 1)))
 for step in range(1, 4):
-    one, one_opt = rmsprop_step(one, unit_grad, one_opt)
-    print(f"  step {step}: cache={one_opt.weight_cache[0][0, 0]:.4f} "
+    one = rmsprop_step(one, unit_grad)
+    # params and cache are flat: the weight's entry, then the bias's
+    print(f"  step {step}: cache={one.cache[0]:.4f} "
           f"w={one.weights[0][0, 0]:.8f}")
 
 # Fit y = x0*x1 on a handful of points; the loss falls monotonically
-# enough for a demo.
+# enough for a demo.  Each call trains a copy of `net`, cache included.
 x = rng.uniform(-1, 1, size=(64, 2))
 y = (x[:, 0] * x[:, 1])[:, None]
-opt = RmspropState.for_network(net)
 print("\nfitting y = x0*x1:")
 for round_ in range(5):
-    net, opt, loss = train_epochs(net, (x, y), opt, epochs=100, minibatch=16,
-                                  rng=np.random.default_rng(round_))
+    net, loss = train_epochs(net, (x, y), epochs=100, minibatch=16,
+                             rng=np.random.default_rng(round_))
     print(f"  after {(round_ + 1) * 100:3d} epochs: loss {loss:.5f}")

@@ -41,7 +41,6 @@ from .nn import (
     LayerSpec,
     NetworkState,
     NetworkTopology,
-    RmspropState,
     backward,
     forward,
     init_network,

@@ -21,7 +21,6 @@ from .nn import (
     LayerSpec,
     NetworkState,
     NetworkTopology,
-    RmspropState,
     TrainingCopy,
     forward,
     forward_trace,
@@ -71,22 +70,17 @@ class GanHyperparams:
 
 @dataclass
 class GanModel:
+    """The two networks, each with its own RMSprop cache."""
+
     generator: NetworkState
     discriminator: NetworkState
-    gen_opt: RmspropState
-    disc_opt: RmspropState
 
 
 def init_gan(hp: GanHyperparams, rng: np.random.Generator) -> GanModel:
-    """Fresh Glorot-initialized networks and empty optimizer caches."""
-    generator = init_network(GENERATOR_TOPOLOGY, rng)
-    discriminator = init_network(DISCRIMINATOR_TOPOLOGY, rng)
-    return GanModel(
-        generator=generator,
-        discriminator=discriminator,
-        gen_opt=RmspropState.for_network(generator),
-        disc_opt=RmspropState.for_network(discriminator),
-    )
+    """Fresh Glorot-initialized networks with empty RMSprop caches,
+    the generator drawn first."""
+    return GanModel(init_network(GENERATOR_TOPOLOGY, rng),
+                    init_network(DISCRIMINATOR_TOPOLOGY, rng))
 
 
 def sample_candidates(gan: GanModel, noise: np.ndarray) -> np.ndarray:
@@ -112,10 +106,8 @@ def train_discriminator(
     `dataset` is (normalized inputs (n, 6), fitness (n, 1)), as built by
     `TestSuite.training_arrays`.
     """
-    disc, opt, _ = train_epochs(
-        gan.discriminator, dataset, gan.disc_opt, hp.disc_epochs, hp.minibatch, rng
-    )
-    return replace(gan, discriminator=disc, disc_opt=opt)
+    disc, _ = train_epochs(gan.discriminator, dataset, hp.disc_epochs, hp.minibatch, rng)
+    return replace(gan, discriminator=disc)
 
 
 def train_generator(
@@ -136,7 +128,7 @@ def train_generator(
     no loss is computed.
     """
     n = hp.gen_samples_per_round or max(32, suite_size)
-    own = TrainingCopy(gan.generator, gan.gen_opt)
+    own = TrainingCopy(gan.generator)
     gen, disc = own.arrays(own.state, n), own.arrays(gan.discriminator, n)
     ones = np.ones((n, 1))
     for _ in range(hp.gen_epochs):
@@ -146,7 +138,7 @@ def train_generator(
         forward_trace(gan.discriminator, gen.trace.output, out=disc.trace)
         own.backward(gen, disc.relay(ones))
         own.update()
-    return replace(gan, generator=own.state, gen_opt=own.opt)
+    return replace(gan, generator=own.state)
 
 
 def train_gan(

@@ -40,7 +40,7 @@ from .gan import (
     sample_candidates,
     train_gan,
 )
-from .nn import Dataset, RmspropState, forward, init_network, train_epochs
+from .nn import Dataset, forward, init_network, train_epochs
 from .rng import stream_rng
 from .space import (
     NUM_DIMENSIONS,
@@ -114,8 +114,9 @@ class AlgorithmConfig:
     batchsize: int = 4
     gan: GanHyperparams = field(default_factory=GanHyperparams)
     # stall guard: after this many fruitless inner passes the acceptance
-    # threshold drops to exactly 0 (any prediction passes) and ogan's
-    # candidate source switches from the generator to uniform sampling.
+    # threshold drops to exactly 0, the best candidate is accepted
+    # outright, and ogan's candidate source switches from the generator
+    # to uniform sampling.
     # Without it, a surrogate predicting exactly 0 over the remaining
     # pool -- or a generator collapsed onto executed inputs -- would spin
     # for ~14,500 passes until the decaying threshold underflows.
@@ -187,9 +188,12 @@ def _search(
     Without a searcher the warm-up alone fills the budget.  With one,
     the model trains on the nonempty suite before every searched test,
     so never after the last one.  Each pass multiplies the threshold by
-    treducer, or sets it to exactly 0 past fallback_after passes; every
-    proposed candidate costs a trial, executed ones included, and the
-    best prediction among the unexecuted ones must reach the threshold.
+    treducer; every proposed candidate costs a trial, executed ones
+    included, and the best prediction among the unexecuted ones must
+    reach the threshold.  Past fallback_after passes the threshold is
+    recorded as exactly 0 and the best candidate is accepted outright,
+    so every searched test ends once a proposal holds a candidate.  A
+    non-finite prediction is an error naming the searched test's index.
     """
     if cfg.budget > cardinality(space):
         raise ValueError(
@@ -216,8 +220,10 @@ def _search(
             if not candidates:
                 continue
             predictions = searcher.predict(candidates)
+            if not np.isfinite(predictions).all():
+                raise ValueError(f"test {len(suite)}: non-finite prediction in {predictions}")
             best = int(np.argmax(predictions))
-            if predictions[best] >= target:
+            if stalled or predictions[best] >= target:
                 break
         _execute(space, sut, spec, suite, executed, candidates[best], passes, trials,
                  target, float(predictions[best]))
@@ -251,7 +257,6 @@ def run_dn(
     rng_sample = stream_rng(seed, "dn-sampling")
     rng_train = stream_rng(seed, "gan-train")
     disc = init_network(DISCRIMINATOR_TOPOLOGY, stream_rng(seed, "net-init"))
-    opt = RmspropState.for_network(disc)
     total = cardinality(space)
 
     def propose(executed: set[int], stalled: bool) -> tuple[int, list[int]]:
@@ -262,11 +267,9 @@ def run_dn(
         return forward(disc, normalize_batch(space, candidates))[:, 0]
 
     def retrain(suite: TestSuite) -> None:
-        nonlocal disc, opt
-        disc, opt, _ = train_epochs(
-            disc, suite.training_arrays(space), opt,
-            cfg.gan.disc_epochs, cfg.gan.minibatch, rng_train,
-        )
+        nonlocal disc
+        disc, _ = train_epochs(disc, suite.training_arrays(space), cfg.gan.disc_epochs,
+                               cfg.gan.minibatch, rng_train)
 
     return _search(space, sut, spec, cfg, seed, _Searcher(propose, predict, retrain))
 

@@ -2,8 +2,9 @@
 
 Sized for the two networks this project needs (a 3x128 tanh generator
 and a 3x8 discriminator with a relu output), so there is no autograd
-graph: each network is a plain list of weight matrices and bias vectors.
-A training step runs each network forward once (`forward_trace`); the
+graph: a network is one parameter vector, viewed as per-layer weight
+matrices and bias vectors, and one RMSprop cache vector beside it.  A
+training step runs each network forward once (`forward_trace`); the
 loss and the hand-written reverse-mode backward pass both read that
 trace.  Backward also gives the gradient with respect to the *inputs*,
 which lets a generator train through a frozen downstream network.
@@ -15,7 +16,7 @@ fresh arrays.  A trace keeps one array per layer, the activation taken
 in place over the affine result, and backward spends the trace and its
 upstream gradient: each layer's local derivative is written over its
 output activation, and its dL/dz over the gradient it receives.  A
-training call owns a copy of its network and RMSprop cache
+training call owns a copy of its network, cache included
 (`TrainingCopy`), made on entry and updated in place, and one
 `StepArrays` set per network and batch size, so a step allocates
 nothing.  It computes only what it reads: parameter gradients of the
@@ -30,7 +31,8 @@ or bit-level equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,16 +79,41 @@ class NetworkTopology:
         return list(zip(widths[:-1], widths[1:]))
 
 
+
+def _split(flat: np.ndarray, topology: NetworkTopology) -> tuple[list, list]:
+    """Views of `flat` shaped like `topology`'s weights, then its biases."""
+    pairs = topology.fan_pairs()
+    views, end = [], 0
+    for shape in pairs + [(fan_out,) for _, fan_out in pairs]:
+        size = math.prod(shape)
+        views.append(flat[end : end + size].reshape(shape))
+        end += size
+    return views[: len(pairs)], views[len(pairs) :]
+
+
 @dataclass
 class NetworkState:
-    """Parameters of one network: weights[l] is (fan_in, fan_out)."""
+    """One network: its parameters and their RMSprop cache, one float64
+    vector each.  weights[l] (fan_in, fan_out) and biases[l] are views
+    of `params`, built once; copies and pickles rebuild them."""
 
     topology: NetworkTopology
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
+    cache: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.weights, self.biases = _split(self.params, self.topology)
+
+    def __reduce__(self):
+        return NetworkState, (self.topology, self.params, self.cache)
+
+    def copy(self) -> "NetworkState":
+        return NetworkState(self.topology, self.params.copy(), self.cache.copy())
 
     def parameter_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.params.size
 
 
 @dataclass
@@ -104,30 +131,15 @@ RMSPROP_RHO = 0.9
 RMSPROP_EPSILON = 1e-8
 
 
-@dataclass
-class RmspropState:
-    """Per-parameter squared-gradient cache of the RMSprop optimizer."""
-
-    weight_cache: list[np.ndarray]
-    bias_cache: list[np.ndarray]
-
-    @classmethod
-    def for_network(cls, state: NetworkState) -> "RmspropState":
-        return cls(
-            weight_cache=[np.zeros_like(w) for w in state.weights],
-            bias_cache=[np.zeros_like(b) for b in state.biases],
-        )
-
-
 def init_network(topology: NetworkTopology, rng: np.random.Generator) -> NetworkState:
-    """Glorot-uniform weights, zero biases; deterministic per rng state."""
-    weights = []
-    biases = []
-    for (fan_in, fan_out) in topology.fan_pairs():
+    """Glorot-uniform weights, drawn layer by layer; zero biases and cache;
+    deterministic per rng state."""
+    size = sum((fan_in + 1) * fan_out for fan_in, fan_out in topology.fan_pairs())
+    state = NetworkState(topology, np.zeros(size), np.zeros(size))
+    for w, (fan_in, fan_out) in zip(state.weights, topology.fan_pairs()):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return NetworkState(topology=topology, weights=weights, biases=biases)
+        w[:] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return state
 
 
 def _check_inputs(state: NetworkState, inputs: np.ndarray) -> np.ndarray:
@@ -273,19 +285,6 @@ def backward(state: NetworkState, inputs: np.ndarray, targets: np.ndarray) -> Gr
     return trace.backward(grad)
 
 
-def _flat_copy(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
-
-
-def _split(flat: np.ndarray, state: NetworkState) -> tuple[list, list]:
-    """Views of `flat` shaped like `state`'s weights, then its biases."""
-    views, end = [], 0
-    for a in state.weights + state.biases:
-        views.append(flat[end : end + a.size].reshape(a.shape))
-        end += a.size
-    return views[: len(state.weights)], views[len(state.weights) :]
-
-
 class StepArrays:
     """A training call's arrays for one network at one batch size, reused
     by every step: the batch's inputs, the forward trace (which backward
@@ -306,19 +305,16 @@ class StepArrays:
 
 
 class TrainingCopy:
-    """A training call's own copy of a network and its RMSprop cache, made
-    on entry: parameters, cache and gradients are one float64 vector each,
-    with per-layer views, so every step updates in place.  It also owns
-    the call's `StepArrays`, one set per network and batch size."""
+    """A training call's own copy of a network (`state.copy()`, made on
+    entry), which every step updates in place, plus a gradient vector
+    with per-layer views (`grad_views`), one scratch vector, and the
+    call's `StepArrays`, one set per network and batch size."""
 
-    def __init__(self, state: NetworkState, opt: RmspropState) -> None:
-        self.params = _flat_copy(state.weights + state.biases)
-        self.cache = _flat_copy(opt.weight_cache + opt.bias_cache)
-        self.grads = np.empty_like(self.params)
-        self.state = NetworkState(state.topology, *_split(self.params, state))
-        self.opt = RmspropState(*_split(self.cache, state))
-        self.grad_views = _split(self.grads, state)
-        self.scratch = np.empty_like(self.params)
+    def __init__(self, state: NetworkState) -> None:
+        self.state = state.copy()
+        self.grads = np.empty_like(state.params)
+        self.grad_views = _split(self.grads, state.topology)
+        self.scratch = np.empty_like(state.params)
         self.step_arrays: dict[tuple[int, int], StepArrays] = {}
 
     def arrays(self, state: NetworkState, rows: int) -> StepArrays:
@@ -335,9 +331,10 @@ class TrainingCopy:
         _backward(arrays.trace, output_grad, self.grad_views, arrays.input_grads)
 
     def update(self) -> None:
-        """One RMSprop step from the gradient buffer, in place; spends the buffer."""
+        """One RMSprop step of the copy, cache included, from the gradient
+        buffer, in place; spends the buffer."""
         lr, rho, eps = RMSPROP_LEARNING_RATE, RMSPROP_RHO, RMSPROP_EPSILON
-        p, g, c, t = self.params, self.grads, self.cache, self.scratch
+        p, g, c, t = self.state.params, self.grads, self.state.cache, self.scratch
         # cache <- rho*cache + ((1-rho)*g)*g; the other order of the
         # products differs in the last bits
         c *= rho
@@ -347,32 +344,31 @@ class TrainingCopy:
         p -= np.divide(np.multiply(g, lr, out=g), t, out=g)
 
 
-def rmsprop_step(
-    state: NetworkState, grads: Gradients, opt: RmspropState
-) -> tuple[NetworkState, RmspropState]:
-    """One RMSprop update (`TrainingCopy.update`) on a fresh copy; returns
-    the new state and optimizer, arguments untouched."""
-    own = TrainingCopy(state, opt)
-    own.grads[:] = _flat_copy(grads.weight_grads + grads.bias_grads)
+def rmsprop_step(state: NetworkState, grads: Gradients) -> NetworkState:
+    """One RMSprop update (`TrainingCopy.update`) of parameters and cache
+    on a fresh copy; returns the copy, arguments untouched."""
+    own = TrainingCopy(state)
+    flat = [np.ravel(g) for g in grads.weight_grads + grads.bias_grads]
+    np.concatenate(flat, out=own.grads)
     own.update()
-    return own.state, own.opt
+    return own.state
 
 
 def train_epochs(
     state: NetworkState,
     dataset: Dataset,
-    opt: RmspropState,
     epochs: int,
     minibatch: int,
     rng: np.random.Generator,
-) -> tuple[NetworkState, RmspropState, float]:
-    """Minibatch RMSprop training; returns the last epoch's mean loss.
+) -> tuple[NetworkState, float]:
+    """Minibatch RMSprop training of a copy of `state`, cache included;
+    returns the copy and the last epoch's mean loss.
 
     Each epoch reshuffles with `rng` and sweeps consecutive minibatches
     (final short batch included).  The loss is computed in the last
     epoch only, before each of its updates; the returned loss is the
-    sample-weighted mean over that epoch, or the untouched model's loss
-    when epochs == 0.  Steps write into the call's own arrays, one set
+    sample-weighted mean over that epoch.  epochs == 0 returns `state`
+    itself and its loss.  Steps write into the call's own arrays, one set
     for `minibatch` rows and one for a short final batch.
     """
     inputs, targets = dataset
@@ -388,9 +384,9 @@ def train_epochs(
         raise ValueError("epochs must be >= 0 and minibatch >= 1")
 
     if epochs == 0:
-        return state, opt, loss_mse(forward_trace(state, x).output, t)
+        return state, loss_mse(forward_trace(state, x).output, t)
 
-    own = TrainingCopy(state, opt)
+    own = TrainingCopy(state)
     total = 0.0
     for epoch in range(epochs):
         perm = rng.permutation(n)
@@ -409,4 +405,4 @@ def train_epochs(
                 total += loss * len(batch)
             own.backward(arrays, arrays.grad)
             own.update()
-    return own.state, own.opt, float(total / n)
+    return own.state, float(total / n)

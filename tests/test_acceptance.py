@@ -30,7 +30,6 @@ from perfgan.harness import load_config, run_experiment
 from perfgan.nn import (
     LayerSpec,
     NetworkTopology,
-    RmspropState,
     backward,
     forward,
     init_network,
@@ -191,15 +190,14 @@ def test_criterion_4_numerical_core():
         topo = NetworkTopology(1, (LayerSpec(1, "linear"),))
         net = init_network(topo, np.random.default_rng(0))
         net.weights[0][0, 0] = 1.0
-        opt = RmspropState.for_network(net)
         g = Gradients([np.array([[1.0]])], [np.zeros(1)], np.zeros((1, 1)))
-        net1, opt1 = rmsprop_step(net, g, opt)
-        assert abs(opt1.weight_cache[0][0, 0] - 0.1) <= 1e-12
+        net1 = rmsprop_step(net, g)
+        assert abs(net1.cache[0] - 0.1) <= 1e-12
         assert abs(
             net1.weights[0][0, 0] - (1.0 - 0.001 / (math.sqrt(0.1) + 1e-8))
         ) <= 1e-12
-        net2, opt2 = rmsprop_step(net1, g, opt1)
-        assert abs(opt2.weight_cache[0][0, 0] - 0.19) <= 1e-12
+        net2 = rmsprop_step(net1, g)
+        assert abs(net2.cache[0] - 0.19) <= 1e-12
         expected_step = 0.001 / (math.sqrt(0.19) + 1e-8)
         assert abs((net1.weights[0][0, 0] - net2.weights[0][0, 0]) - expected_step) <= 1e-12
 

@@ -11,7 +11,14 @@ from perfgan.generators import (
     run_ogan,
     run_random,
 )
-from perfgan.space import Dimension, InputSpace, cardinality, enumerate_inputs, rank
+from perfgan.space import (
+    Dimension,
+    InputSpace,
+    cardinality,
+    enumerate_inputs,
+    rank,
+    sample_uniform,
+)
 from perfgan.sut import FitnessSpec, SyntheticSut
 
 
@@ -306,6 +313,49 @@ class TestBadMeasurement:
 
         with pytest.raises(ValueError, match=r"input \(.*\): power must be .*nan"):
             run_dn(SPACE, NanAfterWarmup(), SPEC, fast_cfg(), 25)
+
+
+def constant_searcher(prediction, passes):
+    """A searcher whose one uniform candidate per pass is predicted at
+    `prediction`; `passes` collects each pass's `stalled` flag."""
+    rng = np.random.default_rng(0)
+
+    def propose(executed, stalled):
+        passes.append(stalled)
+        return 1, sample_uniform(SPACE, executed, 1, rng)
+
+    def predict(candidates):
+        return np.full(len(candidates), prediction)
+
+    return generators._Searcher(propose, predict, lambda suite: None)
+
+
+class TestSearchEnds:
+    @pytest.mark.parametrize("prediction", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prediction_raises_in_one_pass(self, prediction):
+        passes = []
+        with pytest.raises(ValueError, match=r"test 10: non-finite prediction"):
+            generators._search(SPACE, SUT, SPEC, fast_cfg(), 31,
+                               constant_searcher(prediction, passes))
+        assert passes == [False]
+
+    def test_prediction_at_the_threshold_is_accepted(self):
+        cfg = fast_cfg(budget=12)
+        suite = generators._search(SPACE, SUT, SPEC, cfg, 33,
+                                   constant_searcher(cfg.treducer, []))
+        assert [r.inner_iterations for r in suite.records[cfg.warmup:]] == [1, 1]
+
+    @pytest.mark.parametrize("prediction", [0.0, -1.0])
+    def test_stalled_search_accepts_the_best_candidate(self, prediction):
+        # no prediction ever clears a positive threshold, so every searched
+        # test runs to the stall guard and is accepted on the pass after it
+        cfg = fast_cfg(budget=16, fallback_after=25)
+        suite = generators._search(SPACE, SUT, SPEC, cfg, 32,
+                                   constant_searcher(prediction, []))
+        assert_valid_suite(suite, cfg, SPACE)
+        for r in suite.records[cfg.warmup:]:
+            assert r.inner_iterations == cfg.fallback_after + 1
+            assert r.threshold == 0.0 and r.prediction == prediction
 
 
 class TestWarmupSharing:

@@ -296,6 +296,24 @@ class TestSeedDerivation:
         assert derive_run_seed(1, 0) != derive_run_seed(2, 0)
 
 
+class TestSummarize:
+    def test_stddev_is_the_sample_deviation(self, tmp_path):
+        # positives 1 and 3: sqrt(((1 - 2)^2 + (3 - 2)^2) / (2 - 1)) = sqrt(2),
+        # where the population deviation would read 1
+        algorithms = [{"kind": "random", "budget": 4, "warmup": 4}]
+        cfg = load_config(write_config(tmp_path, algorithms=algorithms, sma_window=2))
+
+        def result(seed, fitnesses):
+            records = [generators.TestRecord((i, 0, 0, 0, 0, 0), 6.0 * f, f, 1, 1, i)
+                       for i, f in enumerate(fitnesses)]
+            return harness.RunResult("random", seed, generators.TestSuite(records), 0.0)
+
+        results = [result(1, [1.0, 0.5, 0.5, 0.5]), result(2, [1.0, 1.0, 0.5, 1.0])]
+        summary = harness.summarize(cfg, results)["algorithms"]["random"]
+        assert summary["positive_counts"] == [1, 3]
+        assert summary["stddev_positive_count"] == pytest.approx(2.0**0.5, abs=1e-12)
+
+
 class TestRunExperiment:
     @pytest.mark.parametrize("kind", ALGORITHM_KINDS)
     def test_runner_is_the_generators_binding(self, kind):

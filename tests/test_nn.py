@@ -1,6 +1,7 @@
 """Dense-network engine: forward, exact gradients, RMSprop, training."""
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from perfgan.nn import (
     LayerSpec,
     NetworkState,
     NetworkTopology,
-    RmspropState,
     backward,
     forward,
     forward_trace,
@@ -69,15 +69,9 @@ def finite_difference_grads(state, inputs, targets, h=1e-5):
     return Gradients(weight_grads, bias_grads, input_grad)
 
 
-def arrays_of(*objects):
-    """Every array of the given NetworkState and RmspropState objects."""
-    arrays = []
-    for obj in objects:
-        if isinstance(obj, NetworkState):
-            arrays += obj.weights + obj.biases
-        else:
-            arrays += obj.weight_cache + obj.bias_cache
-    return arrays
+def arrays_of(*states):
+    """The parameter and cache vectors of the given NetworkStates."""
+    return [a for state in states for a in (state.params, state.cache)]
 
 
 def assert_untouched_and_unshared(before, given, returned):
@@ -116,6 +110,20 @@ class TestInit:
         for ba, bb in zip(a.biases, b.biases):
             assert np.array_equal(ba, bb)
 
+    def test_layers_are_views_of_params_in_every_copy(self):
+        net = make_net(3, [(4, "tanh"), (2, "linear")], seed=1)
+        net.cache[:] = 0.5
+        copies = (net.copy(), copy.deepcopy(net), pickle.loads(pickle.dumps(net)))
+        for state in (net,) + copies:
+            assert state.params.size == state.parameter_count() == 3 * 4 + 4 + 4 * 2 + 2
+            for a in state.weights + state.biases:
+                assert np.shares_memory(a, state.params)
+            assert state.params.tobytes() == net.params.tobytes()
+            assert state.cache.tobytes() == net.cache.tobytes()
+        for state in copies:
+            assert not np.shares_memory(state.params, net.params)
+            assert not np.shares_memory(state.cache, net.cache)
+
     def test_glorot_bound(self):
         # fan_in = fan_out = 4 -> every |w| <= sqrt(6/8)
         bound = np.sqrt(6.0 / 8.0)
@@ -142,14 +150,14 @@ class TestForward:
 
     def test_linear_identity(self):
         net = make_net(2, [(2, "linear")])
-        net.weights[0] = np.eye(2)
+        net.weights[0][:] = np.eye(2)
         net.biases[0][:] = 0.0
         x = np.array([[0.5, -1.5], [2.0, 3.0]])
         assert np.array_equal(forward(net, x), x)
 
     def test_relu_clamps_negative(self):
         net = make_net(2, [(2, "relu")])
-        net.weights[0] = np.eye(2)
+        net.weights[0][:] = np.eye(2)
         net.biases[0][:] = 0.0
         out = forward(net, np.array([[-3.0, 2.0]]))
         assert np.array_equal(out, np.array([[0.0, 2.0]]))
@@ -158,6 +166,12 @@ class TestForward:
         net = make_net(3, [(2, "tanh")])
         with pytest.raises(ValueError):
             forward(net, np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, value):
+        net = make_net(3, [(2, "tanh")])
+        with pytest.raises(ValueError, match="finite"):
+            forward(net, np.array([[0.0, value, 0.0]]))
 
     def test_output_ranges(self):
         rng = np.random.default_rng(5)
@@ -237,7 +251,7 @@ class TestBackward:
         full = trace.backward(output_grad)
         # TrainingCopy.backward leaves its parameter gradients in
         # grad_views until update spends them
-        own = nn.TrainingCopy(net, RmspropState.for_network(net))
+        own = nn.TrainingCopy(net)
         arrays = own.arrays(own.state, 40)
         arrays.inputs[:] = x
         forward_trace(own.state, arrays.inputs, out=arrays.trace)
@@ -280,22 +294,14 @@ class TestBackward:
             forward_trace(net, np.zeros((2, 3))).backward(np.zeros((2, 3)))
 
 
-def reference_rmsprop_step(state, grads, opt):
-    """The functional update the in-place kernel replaced.  (1 - rho) * g
+def reference_rmsprop_step(state, grads):
+    """The functional update the in-place kernel replaced, over the flat
+    parameter and cache vectors (weights, then biases).  (1 - rho) * g
     must be formed before the second * g, or the last bits differ."""
     lr, rho, eps = nn.RMSPROP_LEARNING_RATE, nn.RMSPROP_RHO, nn.RMSPROP_EPSILON
-
-    def update(params, gs, caches):
-        new_params, new_caches = [], []
-        for p, g, c in zip(params, gs, caches):
-            c2 = rho * c + (1.0 - rho) * g * g
-            new_params.append(p - lr * g / (np.sqrt(c2) + eps))
-            new_caches.append(c2)
-        return new_params, new_caches
-
-    weights, weight_cache = update(state.weights, grads.weight_grads, opt.weight_cache)
-    biases, bias_cache = update(state.biases, grads.bias_grads, opt.bias_cache)
-    return NetworkState(state.topology, weights, biases), RmspropState(weight_cache, bias_cache)
+    g = np.concatenate([np.ravel(a) for a in grads.weight_grads + grads.bias_grads])
+    cache = rho * state.cache + (1.0 - rho) * g * g
+    return NetworkState(state.topology, state.params - lr * g / (np.sqrt(cache) + eps), cache)
 
 
 @st.composite
@@ -318,7 +324,6 @@ class TestRmsprop:
     def test_matches_functional_reference_bit_for_bit(self, case):
         net, steps, seed, scale = case
         rng = np.random.default_rng(seed)
-        opt = ref_opt = RmspropState.for_network(net)
         ref = net
         for _ in range(steps):
             grads = Gradients(
@@ -326,9 +331,9 @@ class TestRmsprop:
                 [rng.normal(scale=scale, size=b.shape) for b in net.biases],
                 np.zeros((1, net.topology.input_dim)),
             )
-            net, opt = rmsprop_step(net, grads, opt)
-            ref, ref_opt = reference_rmsprop_step(ref, grads, ref_opt)
-        for a, b in zip(arrays_of(net, opt), arrays_of(ref, ref_opt), strict=True):
+            net = rmsprop_step(net, grads)
+            ref = reference_rmsprop_step(ref, grads)
+        for a, b in zip(arrays_of(net), arrays_of(ref), strict=True):
             assert a.tobytes() == b.tobytes()
 
     def scalar_net(self, w):
@@ -345,33 +350,31 @@ class TestRmsprop:
 
     def test_zero_gradient_leaves_parameters(self):
         net = make_net(2, [(3, "tanh")], seed=1)
-        opt = RmspropState.for_network(net)
-        opt.weight_cache[0][:] = 0.25
+        net.cache[:] = 0.25
         grads = Gradients(
             [np.zeros_like(net.weights[0])],
             [np.zeros_like(net.biases[0])],
             np.zeros((1, 2)),
         )
-        new_net, new_opt = rmsprop_step(net, grads, opt)
+        new_net = rmsprop_step(net, grads)
         assert np.array_equal(new_net.weights[0], net.weights[0])
         assert np.array_equal(new_net.biases[0], net.biases[0])
         # cache still decays toward zero
-        assert np.allclose(new_opt.weight_cache[0], 0.9 * 0.25, atol=1e-15)
+        assert np.allclose(new_net.cache, 0.9 * 0.25, atol=1e-15)
 
     def test_first_step_matches_hand_computation(self):
         net = self.scalar_net(1.0)
-        opt = RmspropState.for_network(net)
-        new_net, new_opt = rmsprop_step(net, self.grads_of(net, 1.0), opt)
-        assert new_opt.weight_cache[0][0, 0] == pytest.approx(0.1, abs=1e-15)
+        new_net = rmsprop_step(net, self.grads_of(net, 1.0))
+        # the cache vector holds the weight's entry first, as params does
+        assert new_net.cache[0] == pytest.approx(0.1, abs=1e-15)
         expected = 1.0 - 0.001 / (np.sqrt(0.1) + 1e-8)
         assert new_net.weights[0][0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_second_step_matches_hand_computation(self):
         net = self.scalar_net(1.0)
-        opt = RmspropState.for_network(net)
-        net, opt = rmsprop_step(net, self.grads_of(net, 1.0), opt)
-        net2, opt2 = rmsprop_step(net, self.grads_of(net, 1.0), opt)
-        assert opt2.weight_cache[0][0, 0] == pytest.approx(0.19, abs=1e-15)
+        net = rmsprop_step(net, self.grads_of(net, 1.0))
+        net2 = rmsprop_step(net, self.grads_of(net, 1.0))
+        assert net2.cache[0] == pytest.approx(0.19, abs=1e-15)
         step = 0.001 / (np.sqrt(0.19) + 1e-8)
         assert net.weights[0][0, 0] - net2.weights[0][0, 0] == pytest.approx(
             step, abs=1e-12
@@ -379,36 +382,33 @@ class TestRmsprop:
 
     def test_inputs_not_mutated(self):
         net = make_net(2, [(2, "tanh")], seed=3)
-        opt = RmspropState.for_network(net)
         w_before = net.weights[0].copy()
         grads = Gradients(
             [np.ones_like(net.weights[0])],
             [np.ones_like(net.biases[0])],
             np.zeros((1, 2)),
         )
-        rmsprop_step(net, grads, opt)
+        rmsprop_step(net, grads)
         assert np.array_equal(net.weights[0], w_before)
-        assert np.array_equal(opt.weight_cache[0], np.zeros_like(w_before))
+        assert np.array_equal(net.cache, np.zeros_like(net.cache))
 
 
 class TestTrainEpochs:
     def test_zero_epochs_is_noop(self):
         net = make_net(2, [(3, "tanh"), (1, "linear")], seed=2)
-        opt = RmspropState.for_network(net)
         x = np.array([[0.1, 0.9]])
         y = np.array([[0.5]])
         before = forward(net, x)
-        new_net, _, loss = train_epochs(net, (x, y), opt, 0, 8, np.random.default_rng(0))
+        new_net, loss = train_epochs(net, (x, y), 0, 8, np.random.default_rng(0))
         assert new_net is net
         assert loss == pytest.approx(loss_mse(before, y))
 
     def test_single_point_regression_improves(self):
         net = make_net(2, [(4, "tanh"), (1, "linear")], seed=5)
-        opt = RmspropState.for_network(net)
         x = np.array([[0.3, -0.7]])
         y = np.array([[0.8]])
         err_before = abs(forward(net, x)[0, 0] - 0.8)
-        trained, _, _ = train_epochs(net, (x, y), opt, 200, 8, np.random.default_rng(1))
+        trained, _ = train_epochs(net, (x, y), 200, 8, np.random.default_rng(1))
         err_after = abs(forward(trained, x)[0, 0] - 0.8)
         assert err_after < err_before
 
@@ -419,10 +419,7 @@ class TestTrainEpochs:
         results = []
         for _ in range(2):
             net = make_net(2, [(4, "tanh"), (1, "relu")], seed=6)
-            opt = RmspropState.for_network(net)
-            trained, _, loss = train_epochs(
-                net, (x, y), opt, 5, 8, np.random.default_rng(9)
-            )
+            trained, loss = train_epochs(net, (x, y), 5, 8, np.random.default_rng(9))
             results.append((trained, loss))
         a, b = results
         assert a[1] == b[1]
@@ -431,9 +428,8 @@ class TestTrainEpochs:
 
     def test_empty_dataset_rejected(self):
         net = make_net(2, [(1, "linear")])
-        opt = RmspropState.for_network(net)
         with pytest.raises(ValueError):
-            train_epochs(net, (np.zeros((0, 2)), np.zeros((0, 1))), opt, 1, 8,
+            train_epochs(net, (np.zeros((0, 2)), np.zeros((0, 1))), 1, 8,
                          np.random.default_rng(0))
 
     def test_one_trace_per_minibatch(self, monkeypatch):
@@ -449,27 +445,23 @@ class TestTrainEpochs:
         net = make_net(3, [(5, "tanh"), (2, "linear")], seed=8)
         x = np.random.default_rng(3).uniform(-1, 1, (10, 3))
         y = np.random.default_rng(4).uniform(-1, 1, (10, 2))
-        train_epochs(net, (x, y), RmspropState.for_network(net), 3, 4,
-                     np.random.default_rng(5))
+        train_epochs(net, (x, y), 3, 4, np.random.default_rng(5))
         assert batch_sizes == [4, 4, 2] * 3
 
     def test_arguments_untouched_and_unshared(self):
         net = make_net(3, [(5, "tanh"), (2, "linear")], seed=8)
         x = np.random.default_rng(3).uniform(-1, 1, (10, 3))
         y = np.random.default_rng(4).uniform(-1, 1, (10, 2))
-        net, opt, _ = train_epochs(net, (x, y), RmspropState.for_network(net), 1, 4,
-                                   np.random.default_rng(5))
-        before = [a.copy() for a in arrays_of(net, opt)]
-        trained, new_opt, _ = train_epochs(net, (x, y), opt, 2, 4,
-                                           np.random.default_rng(6))
-        assert_untouched_and_unshared(before, (net, opt), (trained, new_opt))
+        net, _ = train_epochs(net, (x, y), 1, 4, np.random.default_rng(5))
+        before = [a.copy() for a in arrays_of(net)]
+        trained, _ = train_epochs(net, (x, y), 2, 4, np.random.default_rng(6))
+        assert_untouched_and_unshared(before, (net,), (trained,))
 
     def test_shapes_preserved_by_training(self):
         net = make_net(3, [(5, "tanh"), (2, "linear")], seed=8)
-        opt = RmspropState.for_network(net)
         x = np.random.default_rng(3).uniform(-1, 1, (10, 3))
         y = np.random.default_rng(4).uniform(-1, 1, (10, 2))
-        trained, _, _ = train_epochs(net, (x, y), opt, 3, 4, np.random.default_rng(5))
+        trained, _ = train_epochs(net, (x, y), 3, 4, np.random.default_rng(5))
         for w0, w1 in zip(net.weights, trained.weights):
             assert w0.shape == w1.shape
 
@@ -514,7 +506,7 @@ def reference_mse_grad(output, targets):
     return float(np.mean(diff * diff)), 2.0 * diff / diff.size
 
 
-def reference_train_epochs(state, dataset, opt, epochs, minibatch, rng):
+def reference_train_epochs(state, dataset, epochs, minibatch, rng):
     x, t = dataset
     n = len(x)
     epoch_loss = 0.0
@@ -527,16 +519,16 @@ def reference_train_epochs(state, dataset, opt, epochs, minibatch, rng):
             loss, output_grad = reference_mse_grad(activations[-1], t[batch])
             total += loss * len(batch)
             grads = reference_backward(state, zs, activations, output_grad, False)
-            state, opt = reference_rmsprop_step(state, grads, opt)
+            state = reference_rmsprop_step(state, grads)
         epoch_loss = total / n
-    return state, opt, epoch_loss
+    return state, epoch_loss
 
 
 def reference_train_generator(gan_model, hp, rng, suite_size):
     from perfgan.gan import LATENT_DIM
 
     n = hp.gen_samples_per_round or max(32, suite_size)
-    gen, opt, disc = gan_model.generator, gan_model.gen_opt, gan_model.discriminator
+    gen, disc = gan_model.generator, gan_model.discriminator
     for _ in range(hp.gen_epochs):
         noise = rng.uniform(-1.0, 1.0, size=(n, LATENT_DIM))
         gen_zs, gen_acts = reference_forward(gen, noise)
@@ -544,8 +536,8 @@ def reference_train_generator(gan_model, hp, rng, suite_size):
         _, output_grad = reference_mse_grad(disc_acts[-1], np.ones((n, 1)))
         relay = reference_backward(disc, disc_zs, disc_acts, output_grad, True).input_grad
         grads = reference_backward(gen, gen_zs, gen_acts, relay, False)
-        gen, opt = reference_rmsprop_step(gen, grads, opt)
-    return gen, opt
+        gen = reference_rmsprop_step(gen, grads)
+    return gen
 
 
 ACTIVATION_NAMES = st.sampled_from(["tanh", "relu", "linear"])
@@ -580,7 +572,7 @@ def training_case(draw):
 
 
 def assert_same_training(got, want, rng, ref_rng):
-    for a, b in zip(arrays_of(*got[:2]), arrays_of(*want[:2]), strict=True):
+    for a, b in zip(arrays_of(got), arrays_of(want), strict=True):
         assert a.tobytes() == b.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -594,15 +586,12 @@ class TestTrainingKernel:
     def test_train_epochs_matches_reference_loop(self, case):
         net, dataset, epochs, minibatch, seed = case
         # a nonzero cache, so the update reads the one passed in
-        net, opt, _ = reference_train_epochs(
-            net, dataset, RmspropState.for_network(net), 1, minibatch,
-            np.random.default_rng(seed),
-        )
+        net, _ = reference_train_epochs(net, dataset, 1, minibatch, np.random.default_rng(seed))
         rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        got = train_epochs(net, dataset, opt, epochs, minibatch, rng)
-        want = reference_train_epochs(net, dataset, opt, epochs, minibatch, ref_rng)
+        got, got_loss = train_epochs(net, dataset, epochs, minibatch, rng)
+        want, want_loss = reference_train_epochs(net, dataset, epochs, minibatch, ref_rng)
         assert_same_training(got, want, rng, ref_rng)
-        assert got[2] == want[2]
+        assert got_loss == want_loss
 
     @settings(deadline=None, max_examples=30)
     @given(mixed_layers(3), mixed_layers(3), st.integers(1, 3), st.integers(1, 40),
@@ -614,34 +603,30 @@ class TestTrainingKernel:
 
         gen = make_net(LATENT_DIM, gen_specs, seed=seed)
         disc = make_net(gen_specs[-1][0], disc_specs + [(1, "relu")], seed=seed + 1)
-        opt = RmspropState.for_network(gen)
-        opt.weight_cache[0][:] = 0.5
-        model = GanModel(gen, disc, opt, RmspropState.for_network(disc))
+        gen.cache[: gen.weights[0].size] = 0.5
+        model = GanModel(gen, disc)
         hp = GanHyperparams(gen_epochs=epochs, gen_samples_per_round=rows)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = train_generator(model, hp, rng)
         want = reference_train_generator(model, hp, ref_rng, 0)
-        assert_same_training((got.generator, got.gen_opt), want, rng, ref_rng)
+        assert_same_training(got.generator, want, rng, ref_rng)
 
     def test_buffers_live_only_for_one_call(self):
         net = make_net(3, [(5, "tanh"), (4, "relu"), (2, "linear")], seed=8)
         data = np.random.default_rng(3)
         x, y = data.uniform(-1, 1, (10, 3)), data.uniform(-1, 1, (10, 2))
-        opt = RmspropState.for_network(net)
         probe = forward_trace(net, x)
         before = [a.copy() for a in probe.activations]
-        results = [
-            train_epochs(net, (x, y), opt, 3, 4, np.random.default_rng(5)) for _ in range(2)
-        ]
-        (first, first_opt, first_loss), (second, second_opt, second_loss) = results
+        results = [train_epochs(net, (x, y), 3, 4, np.random.default_rng(5)) for _ in range(2)]
+        (first, first_loss), (second, second_loss) = results
         assert first_loss == second_loss
-        for a, b in zip(arrays_of(first, first_opt), arrays_of(second, second_opt), strict=True):
+        for a, b in zip(arrays_of(first), arrays_of(second), strict=True):
             assert a.tobytes() == b.tobytes()
-        arguments = arrays_of(net, opt) + [x, y]
-        for a in arrays_of(first, first_opt):
-            others = arrays_of(second, second_opt) + arguments
+        arguments = arrays_of(net) + [x, y]
+        for a in arrays_of(first):
+            others = arrays_of(second) + arguments
             assert not any(np.shares_memory(a, b) for b in others)
-        for a in arrays_of(second, second_opt):
+        for a in arrays_of(second):
             assert not any(np.shares_memory(a, b) for b in arguments)
         for saved, array in zip(before, probe.activations, strict=True):
             assert saved.tobytes() == array.tobytes()

@@ -184,6 +184,20 @@ class TestOracle:
             assert (f == 1.0) == (t in positives)
 
 
+def big_cpus_space(levels):
+    """Only big_cpus varies, so every input's dynamic power is distinct."""
+    return InputSpace(
+        dims=(
+            Dimension("big_cpus", levels),
+            Dimension("big_freq", (1000.0,)),
+            Dimension("big_util", (0.5,)),
+            Dimension("little_cpus", (0.0,)),
+            Dimension("little_freq", (800.0,)),
+            Dimension("little_util", (0.5,)),
+        )
+    )
+
+
 class TestCalibration:
     def test_default_space_hits_band(self):
         sut = SyntheticSut()
@@ -237,6 +251,20 @@ class TestCalibration:
             calibrate_gain(
                 SyntheticSut(p_idle=2.0), default_space(), FitnessSpec(p_m=1.0), 0.01
             )
+
+    def test_density_above_twice_the_target_fails(self):
+        # two inputs: 0.2 * 2 rounds to no input, so the hotter one alone
+        # is positive, and 1/2 lies above 2 * 0.2
+        with pytest.raises(CalibrationError, match=r"density 0\.50000 outside"):
+            calibrate_gain(SyntheticSut(), big_cpus_space((1.0, 2.0)), FitnessSpec(), 0.2)
+
+    @pytest.mark.parametrize("density, positives", [(0.34, 3), (0.37, 4), (0.4, 4)])
+    def test_positive_count_is_the_rounded_product(self, density, positives):
+        # ten distinct powers: density * 10 rounds to the positives;
+        # 3.7 rounds up, where truncation would keep 3
+        space = big_cpus_space(tuple(float(n) for n in range(1, 11)))
+        cal = calibrate_gain(SyntheticSut(), space, FitnessSpec(), density)
+        assert len(oracle_positive_set(cal, space, FitnessSpec())) == positives
 
     def test_target_density_validated(self):
         with pytest.raises(ValueError):
