@@ -27,9 +27,10 @@ from .nn import (
     init_network,
     train_epochs,
 )
+from .space import NUM_DIMENSIONS
 
 LATENT_DIM = 100
-CANDIDATE_DIM = 6
+CANDIDATE_DIM = NUM_DIMENSIONS
 
 GENERATOR_TOPOLOGY = NetworkTopology(
     input_dim=LATENT_DIM,
@@ -53,19 +54,16 @@ DISCRIMINATOR_TOPOLOGY = NetworkTopology(
 
 @dataclass(frozen=True)
 class GanHyperparams:
-    """Online training schedule; gen_samples_per_round=None means
-    max(32, suite size), resolved by `train_generator`."""
+    """Online training schedule; a generator round draws as many noise
+    rows as `train_generator` is given suite size, at least 32."""
 
     disc_epochs: int = 10
     gen_epochs: int = 10
     minibatch: int = 32
-    gen_samples_per_round: int | None = None
 
     def __post_init__(self) -> None:
         if self.disc_epochs < 1 or self.gen_epochs < 1 or self.minibatch < 1:
             raise ValueError("epochs and minibatch must be >= 1")
-        if self.gen_samples_per_round is not None and self.gen_samples_per_round < 1:
-            raise ValueError("gen_samples_per_round must be >= 1")
 
 
 @dataclass
@@ -115,19 +113,18 @@ def train_generator(
 ) -> GanModel:
     """Push generator outputs toward predicted fitness 1.
 
-    Each round draws fresh noise, hp.gen_samples_per_round rows or, when
-    that is None, max(32, suite_size), so the generator sees at least as
-    much noise as there is data.  It runs the noise through the generator
-    and the frozen discriminator, and takes one RMSprop step on the
-    generator from the mean-squared distance to the constant target 1, in
-    place on the `TrainingCopy` made on entry; `gan` is not mutated.  The
-    frozen discriminator only relays its input gradient, and the
-    generator's gradient with respect to the noise is never computed.
-    Both passes write into arrays the training copy owns for this call,
-    the noise too (rng.random, *2, -1: rng.uniform(-1, 1) bit for bit);
-    no loss is computed.
+    Each round draws max(32, suite_size) fresh noise rows, so the
+    generator sees at least as much noise as there is data.  It runs the
+    noise through the generator and the frozen discriminator, and takes
+    one RMSprop step on the generator from the mean-squared distance to
+    the constant target 1, in place on the `TrainingCopy` made on entry;
+    `gan` is not mutated.  The frozen discriminator only relays its input
+    gradient, and the generator's gradient with respect to the noise is
+    never computed.  Both passes write into arrays the training copy owns
+    for this call, the noise too (rng.random, *2, -1: rng.uniform(-1, 1)
+    bit for bit); no loss is computed.
     """
-    n = hp.gen_samples_per_round or max(32, suite_size)
+    n = max(32, suite_size)
     own = TrainingCopy(gan.generator)
     gen, disc = own.arrays(own.state, n), own.arrays(gan.discriminator, n)
     ones = np.ones((n, 1))

@@ -52,7 +52,7 @@ from .generators import (
     run_random,
 )
 from .rng import derive_run_seed
-from .space import DIMENSION_ROLES, Dimension, InputSpace, cardinality
+from .space import DIMENSION_ROLES, NUM_DIMENSIONS, Dimension, InputSpace, cardinality
 from .sut import (
     CalibrationError,
     FitnessSpec,
@@ -124,7 +124,6 @@ class RunResult:
     algorithm: str
     seed: int
     suite: TestSuite
-    duration_s: float
 
 
 def sma(series: list[float], window: int) -> list[float]:
@@ -240,8 +239,8 @@ def _section(cls: type, raw: Any, path: str, extra: tuple[str, ...] = ()) -> Any
 
 
 def _load_space(raw: Any) -> InputSpace:
-    if not isinstance(raw, list) or len(raw) != 6:
-        raise ConfigError("space: expected an array of 6 dimensions")
+    if not isinstance(raw, list) or len(raw) != NUM_DIMENSIONS:
+        raise ConfigError(f"space: expected an array of {NUM_DIMENSIONS} dimensions")
     dims = []
     for j, entry in enumerate(raw):
         path = f"space[{j}]"
@@ -353,10 +352,7 @@ def run_experiment(
                 variant.label, i + 1, cfg.runs, suite.positive_count,
                 duration,
             )
-            results.append(
-                RunResult(algorithm=variant.label, seed=seed, suite=suite,
-                          duration_s=duration)
-            )
+            results.append(RunResult(algorithm=variant.label, seed=seed, suite=suite))
 
     summary = summarize(cfg, results)
     if cfg.output_dir is not None:

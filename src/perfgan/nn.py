@@ -367,9 +367,9 @@ def train_epochs(
     Each epoch reshuffles with `rng` and sweeps consecutive minibatches
     (final short batch included).  The loss is computed in the last
     epoch only, before each of its updates; the returned loss is the
-    sample-weighted mean over that epoch.  epochs == 0 returns `state`
-    itself and its loss.  Steps write into the call's own arrays, one set
-    for `minibatch` rows and one for a short final batch.
+    sample-weighted mean over that epoch.  Raises ValueError unless
+    epochs and minibatch are both >= 1.  Steps write into the call's own
+    arrays, one set for `minibatch` rows and one for a short final batch.
     """
     inputs, targets = dataset
     x = _check_inputs(state, inputs)
@@ -380,11 +380,8 @@ def train_epochs(
     want = (n, state.topology.output_dim)
     if t.shape != want:
         raise ValueError(f"targets must be {want}, got {t.shape}")
-    if epochs < 0 or minibatch < 1:
-        raise ValueError("epochs must be >= 0 and minibatch >= 1")
-
-    if epochs == 0:
-        return state, loss_mse(forward_trace(state, x).output, t)
+    if epochs < 1 or minibatch < 1:
+        raise ValueError("epochs and minibatch must be >= 1")
 
     own = TrainingCopy(state)
     total = 0.0

@@ -155,20 +155,16 @@ def snap(space: InputSpace, vectors: np.ndarray) -> np.ndarray:
 
 
 def rank(space: InputSpace, test_input: TestInput) -> int:
-    """Lexicographic position of an input within :func:`enumerate_inputs`."""
-    r = 0
-    for idx, count in zip(test_input, space.level_counts):
-        r = r * count + idx
-    return r
+    """Lexicographic position of an input within :func:`enumerate_inputs`,
+    numpy's C order.  Raises ValueError on an input that is not six
+    indices wide or has an index out of range."""
+    return int(np.ravel_multi_index(test_input, space.level_counts))
 
 
 def unrank(space: InputSpace, r: int) -> TestInput:
-    """Inverse of :func:`rank`."""
-    counts = space.level_counts
-    out = [0] * NUM_DIMENSIONS
-    for j in range(NUM_DIMENSIONS - 1, -1, -1):
-        r, out[j] = divmod(r, counts[j])
-    return tuple(out)
+    """Inverse of :func:`rank`, as Python ints.  Raises ValueError on a
+    rank outside [0, cardinality)."""
+    return tuple(map(int, np.unravel_index(r, space.level_counts)))
 
 
 def enumerate_inputs(space: InputSpace) -> Iterator[TestInput]:
@@ -195,8 +191,6 @@ def sample_uniform(
         raise ValueError(
             f"cannot sample {k} inputs: only {available} of {total} remain"
         )
-    if k == 0:
-        return []
 
     if k > available // 4:
         # dense request: materialize the remaining pool and choose exactly

@@ -211,10 +211,9 @@ class TestTrainGenerator:
             expected.uniform(-1.0, 1.0, size=(32, LATENT_DIM))
         assert rng.bit_generator.state == expected.bit_generator.state
 
-    @pytest.mark.parametrize("samples, suite_size, rows", [(None, 40, 40), (7, 40, 7)])
-    def test_noise_rows_follow_suite_size_unless_set(self, samples, suite_size, rows):
-        hp = GanHyperparams(gen_epochs=2, gen_samples_per_round=samples)
-        rng = np.random.default_rng(15)
+    @pytest.mark.parametrize("suite_size, rows", [(0, 32), (40, 40)])
+    def test_noise_rows_follow_suite_size(self, suite_size, rows):
+        hp, rng = GanHyperparams(gen_epochs=2), np.random.default_rng(15)
         train_generator(fresh_gan(24), hp, rng, suite_size=suite_size)
         expected = np.random.default_rng(15)
         for _ in range(2):
@@ -306,17 +305,13 @@ class TestTrainGan:
         assert nets_equal(a.discriminator, b.discriminator)
 
     def test_equals_manual_composition(self):
-        from dataclasses import replace
-
         suite = toy_suite(40, seed=18)
         hp = GanHyperparams()
         combined = train_gan(fresh_gan(19), suite, hp, np.random.default_rng(10))
 
         rng = np.random.default_rng(10)
         staged = train_discriminator(fresh_gan(19), suite, hp, rng)
-        staged = train_generator(
-            staged, replace(hp, gen_samples_per_round=max(32, len(suite[0]))), rng
-        )
+        staged = train_generator(staged, hp, rng, suite_size=len(suite[0]))
         assert nets_equal(combined.generator, staged.generator)
         assert nets_equal(combined.discriminator, staged.discriminator)
 

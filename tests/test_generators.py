@@ -56,6 +56,8 @@ def assert_valid_suite(suite, cfg, space):
     assert len(set(inputs)) == len(inputs)
     for r in suite.records:
         space.validate_input(r.input)
+        # golden's json.dumps and perfbench's digest read the input
+        assert all(type(i) is int for i in r.input), r.input
         assert r.fitness == min(1.0, r.power / SPEC.p_m)
         assert r.inner_iterations <= r.candidate_trials or (
             r.inner_iterations == r.candidate_trials

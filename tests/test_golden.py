@@ -59,7 +59,7 @@ RUNNERS = {"random": run_random, "dn": run_dn, "ogan": run_ogan}
 # output file -> sha256 of its bytes after one short default experiment
 GOLDEN_FILES = {
     "tests.csv": "d0fa79ffa08b325b4a406fe0195c555b6fb345daf590eb6c62becf738402ec80",
-    "summary.json": "2566c69d952a4c503e21f82bb5128ba2536f9ccfa325dd0b2c983eb3d4543827",
+    "summary.json": "6081b6bfe9253e4fd84bad549e6e4b64fe14542d7c1ac1b2e30c1d750b82526c",
     "histogram.csv": "6e5b111f9f344d96432eafd3f891698be2e7d9b3d18dc2a137059a12458d3801",
     "sma.csv": "5266ee8f964ea25542462324eebb939acc8754d2efb804e2067fbed52e80b245",
 }
@@ -67,7 +67,7 @@ GOLDEN_FILES = {
 # gain is that calibration, so only the config echo moves
 GOLDEN_CALIBRATED_FILES = {
     **GOLDEN_FILES,
-    "summary.json": "9865367a45f8806e34bd09b8dedd0412f6a24451a3bc1b3f5afa34f69a7ca2e6",
+    "summary.json": "0f7be8d714a1c362de192a2bc6e4051fcf7294b038207b26b70bb1c1cd02babd",
 }
 
 

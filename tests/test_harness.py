@@ -306,7 +306,7 @@ class TestSummarize:
         def result(seed, fitnesses):
             records = [generators.TestRecord((i, 0, 0, 0, 0, 0), 6.0 * f, f, 1, 1, i)
                        for i, f in enumerate(fitnesses)]
-            return harness.RunResult("random", seed, generators.TestSuite(records), 0.0)
+            return harness.RunResult("random", seed, generators.TestSuite(records))
 
         results = [result(1, [1.0, 0.5, 0.5, 0.5]), result(2, [1.0, 1.0, 0.5, 1.0])]
         summary = harness.summarize(cfg, results)["algorithms"]["random"]

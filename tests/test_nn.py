@@ -394,14 +394,14 @@ class TestRmsprop:
 
 
 class TestTrainEpochs:
-    def test_zero_epochs_is_noop(self):
+    @pytest.mark.parametrize("epochs, minibatch", [(0, 8), (1, 0)])
+    def test_zero_epochs_or_minibatch_rejected(self, epochs, minibatch):
         net = make_net(2, [(3, "tanh"), (1, "linear")], seed=2)
         x = np.array([[0.1, 0.9]])
         y = np.array([[0.5]])
-        before = forward(net, x)
-        new_net, loss = train_epochs(net, (x, y), 0, 8, np.random.default_rng(0))
-        assert new_net is net
-        assert loss == pytest.approx(loss_mse(before, y))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="^epochs and minibatch must be >= 1$"):
+            train_epochs(net, (x, y), epochs, minibatch, rng)
 
     def test_single_point_regression_improves(self):
         net = make_net(2, [(4, "tanh"), (1, "linear")], seed=5)
@@ -527,7 +527,7 @@ def reference_train_epochs(state, dataset, epochs, minibatch, rng):
 def reference_train_generator(gan_model, hp, rng, suite_size):
     from perfgan.gan import LATENT_DIM
 
-    n = hp.gen_samples_per_round or max(32, suite_size)
+    n = max(32, suite_size)
     gen, disc = gan_model.generator, gan_model.discriminator
     for _ in range(hp.gen_epochs):
         noise = rng.uniform(-1.0, 1.0, size=(n, LATENT_DIM))
@@ -594,7 +594,7 @@ class TestTrainingKernel:
         assert got_loss == want_loss
 
     @settings(deadline=None, max_examples=30)
-    @given(mixed_layers(3), mixed_layers(3), st.integers(1, 3), st.integers(1, 40),
+    @given(mixed_layers(3), mixed_layers(3), st.integers(1, 3), st.integers(32, 72),
            st.integers(0, 2**16))
     def test_train_generator_matches_reference_loop(
         self, gen_specs, disc_specs, epochs, rows, seed
@@ -605,10 +605,10 @@ class TestTrainingKernel:
         disc = make_net(gen_specs[-1][0], disc_specs + [(1, "relu")], seed=seed + 1)
         gen.cache[: gen.weights[0].size] = 0.5
         model = GanModel(gen, disc)
-        hp = GanHyperparams(gen_epochs=epochs, gen_samples_per_round=rows)
+        hp = GanHyperparams(gen_epochs=epochs)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = train_generator(model, hp, rng)
-        want = reference_train_generator(model, hp, ref_rng, 0)
+        got = train_generator(model, hp, rng, suite_size=rows)
+        want = reference_train_generator(model, hp, ref_rng, rows)
         assert_same_training(got.generator, want, rng, ref_rng)
 
     def test_buffers_live_only_for_one_call(self):

@@ -291,6 +291,29 @@ class TestRanking:
             assert rank(s, t) == i
             assert unrank(s, i) == t
 
+    @pytest.mark.parametrize(
+        "test_input",
+        [(0, 19, 0, 0, 0, 0), (0, 0, 0, 0, 0, -1), (5, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0),
+         (0, 0, 0, 0, 0, 0, 0)],
+        ids=["past_big_freq", "negative", "past_big_cpus", "five_wide", "seven_wide"],
+    )
+    def test_rank_rejects_an_input_outside_the_space(self, test_input):
+        # without the check (0, 19, 0, ...) would rank as (1, 0, 0, ...)
+        with pytest.raises(ValueError):
+            rank(default_space(), test_input)
+
+    @pytest.mark.parametrize("r", [-1, 665_000])
+    def test_unrank_rejects_a_rank_outside_the_space(self, r):
+        s = default_space()
+        assert cardinality(s) == 665_000
+        with pytest.raises(ValueError):
+            unrank(s, r)
+
+    def test_unrank_gives_python_ints(self):
+        s = default_space()
+        for r in (0, np.int64(664_999), 123_456):
+            assert all(type(i) is int for i in unrank(s, r))
+
 
 class TestEnumerate:
     def test_minimal_enumeration(self):
