@@ -14,11 +14,13 @@ import argparse
 import logging
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from . import __version__
 from .harness import (
     ALGORITHM_KINDS,
     ConfigError,
+    emit_outputs,
     load_config,
     oracle_facts,
     run_experiment,
@@ -52,20 +54,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, output_dir=args.out)
-    overrides = {"runs": args.runs, "master_seed": args.master_seed}
-    run_experiment(replace(cfg, **{k: v for k, v in overrides.items() if v is not None}))
+    flags = {"runs": args.runs, "master_seed": args.master_seed}
+    cfg = replace(load_config(args.config), **{k: v for k, v in flags.items() if v is not None})
+    emit_outputs(Path(args.out), *run_experiment(cfg), cfg)
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigError("--seed: must be >= 0")
-    cfg = load_config(args.config, output_dir=args.out)
+    cfg = load_config(args.config)
     matching = [v for v in cfg.algorithms if v.kind == args.algorithm]
     if not matching:
         raise ConfigError(f"algorithms: no {args.algorithm!r} entry in config")
-    run_experiment(replace(cfg, algorithms=matching[:1], runs=1), run_seeds=[args.seed])
+    cfg = replace(cfg, algorithms=matching[:1], runs=1)
+    emit_outputs(Path(args.out), *run_experiment(cfg, run_seeds=[args.seed]), cfg)
     return 0
 
 
@@ -85,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"compare": _cmd_compare, "run": _cmd_run, "oracle": _cmd_oracle}
     try:
         return handlers[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -91,9 +91,8 @@ def sample_candidates(gan: GanModel, noise: np.ndarray) -> np.ndarray:
 
 
 def predict_fitness(gan: GanModel, inputs: np.ndarray) -> np.ndarray:
-    """Discriminator's fitness prediction per row; nonnegative, unclamped."""
-    out = forward(gan.discriminator, np.atleast_2d(np.asarray(inputs)))
-    return out[:, 0]
+    """Discriminator's fitness per row of (n, 6) inputs; nonnegative, unclamped."""
+    return forward(gan.discriminator, inputs)[:, 0]
 
 
 def train_discriminator(

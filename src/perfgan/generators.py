@@ -149,32 +149,6 @@ class _Searcher(NamedTuple):
     retrain: Callable[[TestSuite], None]
 
 
-def _execute(
-    space: InputSpace,
-    sut: SutInterface,
-    spec: FitnessSpec,
-    suite: TestSuite,
-    executed: set[int],
-    r: int,
-    inner_iterations: int,
-    candidate_trials: int,
-    threshold: float | None = None,
-    prediction: float | None = None,
-) -> None:
-    """Measure the input of rank r; record it in `suite`, add r to `executed`."""
-    test_input = unrank(space, r)
-    power = sut.measure(space, test_input)
-    try:
-        fit = fitness(spec, power)
-    except ValueError as exc:
-        raise ValueError(f"input {test_input}: {exc}") from exc
-    suite.records.append(
-        TestRecord(test_input, power, fit, inner_iterations, candidate_trials,
-                   len(suite), threshold, prediction)
-    )
-    executed.add(r)
-
-
 def _search(
     space: InputSpace,
     sut: SutInterface,
@@ -200,10 +174,24 @@ def _search(
             f"budget {cfg.budget} exceeds space cardinality {cardinality(space)}"
         )
     suite, executed = TestSuite(), set()
+
+    def execute(r: int, passes: int, trials: int,
+                threshold: float | None = None, prediction: float | None = None) -> None:
+        # measure the input of rank r, record it and mark r executed
+        test_input = unrank(space, r)
+        power = sut.measure(space, test_input)
+        try:
+            fit = fitness(spec, power)
+        except ValueError as exc:
+            raise ValueError(f"input {test_input}: {exc}") from exc
+        suite.records.append(TestRecord(test_input, power, fit, passes, trials, len(suite),
+                                        threshold, prediction))
+        executed.add(r)
+
     rng = stream_rng(seed, "warmup-sampling")
     for _ in range(cfg.warmup if searcher is not None else cfg.budget):
         (r,) = sample_uniform(space, executed, 1, rng)
-        _execute(space, sut, spec, suite, executed, r, 1, 1)
+        execute(r, 1, 1)
     if searcher is None:
         return suite
     while len(suite) < cfg.budget:
@@ -225,8 +213,7 @@ def _search(
             best = int(np.argmax(predictions))
             if stalled or predictions[best] >= target:
                 break
-        _execute(space, sut, spec, suite, executed, candidates[best], passes, trials,
-                 target, float(predictions[best]))
+        execute(candidates[best], passes, trials, target, float(predictions[best]))
     return suite
 
 

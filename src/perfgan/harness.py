@@ -22,7 +22,7 @@ algorithm and its `gan` build their dataclass by field name and type,
 and an unknown key anywhere is a ConfigError.  ExperimentConfig checks
 itself, so `parse_config`, `dataclasses.replace` (the CLI overrides)
 and library callers pass one check.  The output directory is not part
-of the JSON; callers pass it to `load_config`.
+of the config; callers pass it to `emit_outputs`.
 
 Everything downstream of the master seed is deterministic, so repeated
 invocations produce byte-identical files.
@@ -95,7 +95,6 @@ class ExperimentConfig:
     master_seed: int = 0
     sma_window: int = 10
     histogram_bins: int = 10
-    output_dir: Path | None = None
     target_density: float | None = None
 
     def __post_init__(self) -> None:
@@ -180,15 +179,9 @@ _CONVERTERS = {int: _as_int, float: _as_number}
 
 @functools.cache
 def _field_types(cls: type) -> dict[str, type]:
-    """Field name -> type of a config dataclass.  `X | None` gives X: JSON
-    null is rejected, and only the default means None."""
-    hints, types = typing.get_type_hints(cls), {}
-    for f in fields(cls):
-        hint = hints[f.name]
-        if type(None) in typing.get_args(hint):
-            (hint,) = set(typing.get_args(hint)) - {type(None)}
-        types[f.name] = hint
-    return types
+    """Field name -> type of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
 def _reject_unknown(raw: dict, known: Iterable[str], prefix: str) -> None:
@@ -209,7 +202,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 def _scalar_fields() -> list[str]:
     """The top-level keys besides the sections: ExperimentConfig's integer
-    fields (output_dir comes from the caller, target_density from `sut`)."""
+    fields (target_density comes from `sut`)."""
     return [name for name, tp in _field_types(ExperimentConfig).items() if tp is int]
 
 
@@ -275,22 +268,20 @@ def _load_algorithm(raw: Any, index: int) -> AlgorithmVariant:
     return AlgorithmVariant(label=label, kind=kind, config=config)
 
 
-def load_config(path: str | Path, output_dir: str | Path | None = None) -> ExperimentConfig:
+def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a JSON experiment configuration file."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"not valid JSON: {exc}") from exc
-    except FileNotFoundError:
-        raise
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected an object")
-    return parse_config(raw, output_dir=output_dir)
+    return parse_config(raw)
 
 
-def parse_config(raw: dict, output_dir: str | Path | None = None) -> ExperimentConfig:
+def parse_config(raw: dict) -> ExperimentConfig:
     space = _load_space(_require(raw, "space", "top level"))
     sut_raw = _require(raw, "sut", "top level")
     sut = _section(SyntheticSut, sut_raw, "sut", extra=("target_density",))
@@ -304,9 +295,7 @@ def parse_config(raw: dict, output_dir: str | Path | None = None) -> ExperimentC
     for key, value in raw.items():
         if key in _scalar_fields():
             kwargs[key] = _as_int(value, key)
-    cfg = ExperimentConfig(
-        **kwargs, output_dir=Path(output_dir) if output_dir is not None else None
-    )
+    cfg = ExperimentConfig(**kwargs)
     if "target_density" not in sut_raw:
         return cfg
     if "gain" in sut_raw:
@@ -332,8 +321,7 @@ def run_experiment(
 
     Seeds default to derive_run_seed(master_seed, i) for i in
     range(runs): the same run index gives every variant the same seed,
-    pairing their warm-up phases.  Writes output files when the config
-    names an output directory.
+    pairing their warm-up phases.  Writes no file; `emit_outputs` does.
     """
     if run_seeds is None:
         run_seeds = [derive_run_seed(cfg.master_seed, i) for i in range(cfg.runs)]
@@ -354,10 +342,7 @@ def run_experiment(
             )
             results.append(RunResult(algorithm=variant.label, seed=seed, suite=suite))
 
-    summary = summarize(cfg, results)
-    if cfg.output_dir is not None:
-        emit_outputs(results, summary, cfg)
-    return results, summary
+    return results, summarize(cfg, results)
 
 
 def oracle_facts(cfg: ExperimentConfig) -> dict:
@@ -404,9 +389,9 @@ def summarize(cfg: ExperimentConfig, results: list[RunResult]) -> dict:
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    # output_dir and wall-clock data stay out: two invocations with the
-    # same master seed must produce byte-identical files.  Levels are
-    # listed because asdict keeps tuples, and the echo must equal its
+    # the output directory and wall-clock data stay out: two invocations
+    # with the same master seed must produce byte-identical files.  Levels
+    # are listed because asdict keeps tuples, and the echo must equal its
     # own JSON round trip.
     return {
         "space": [
@@ -429,12 +414,11 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
         writer.writerows(rows)
 
 
-def emit_outputs(results: list[RunResult], summary: dict, cfg: ExperimentConfig) -> None:
+def emit_outputs(
+    out: Path, results: list[RunResult], summary: dict, cfg: ExperimentConfig
+) -> None:
     """Write tests.csv, summary.json (the `summarize` document),
-    histogram.csv and sma.csv."""
-    out = cfg.output_dir
-    if out is None:
-        raise ValueError("config has no output directory")
+    histogram.csv and sma.csv into directory `out`."""
     out.mkdir(parents=True, exist_ok=True)
 
     test_rows = (

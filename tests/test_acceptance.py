@@ -65,10 +65,9 @@ def criterion(number, name):
 
 
 @pytest.fixture(scope="session")
-def full_comparison(tmp_path_factory):
+def full_comparison():
     """The default comparison: 3 variants x 10 seeds x budget 200."""
-    out = tmp_path_factory.mktemp("comparison")
-    cfg = load_config(CONFIGS / "default.json", output_dir=out)
+    cfg = load_config(CONFIGS / "default.json")
     start = time.perf_counter()
     results, summary = run_experiment(cfg)
     elapsed = time.perf_counter() - start

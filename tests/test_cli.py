@@ -193,10 +193,6 @@ def test_repeated_key_is_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_missing_config_exits_one(tmp_path):
-    assert main(["oracle", "--config", str(tmp_path / "absent.json")]) == 1
-
-
 def _assert_config_error_everywhere(tmp_path, capsys, config):
     argvs = [
         ["oracle", "--config", str(config)],
@@ -207,6 +203,10 @@ def _assert_config_error_everywhere(tmp_path, capsys, config):
     for argv in argvs:
         assert main(argv) == 1
         assert f"config error: {config}" in capsys.readouterr().err
+
+
+def test_missing_config_exits_one(tmp_path, capsys):
+    _assert_config_error_everywhere(tmp_path, capsys, tmp_path / "absent.json")
 
 
 def test_undecodable_config_is_config_error(tmp_path, capsys):

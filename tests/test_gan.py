@@ -135,6 +135,10 @@ class TestPredict:
                 predict_fitness(gan, x[i : i + 1])[0], rel=1e-12, abs=1e-15
             )
 
+    def test_one_dimensional_row_rejected(self):
+        with pytest.raises(ValueError, match=r"inputs must be \(batch, 6\)"):
+            predict_fitness(fresh_gan(5), np.zeros(6))
+
 
 class TestTrainDiscriminator:
     def test_generator_bit_identical(self):

@@ -12,7 +12,7 @@ shows up here.  An intended change of behaviour must re-record them and
 say why.
 
 The same short experiment, one run of every default variant, is also
-written to disk through `run_experiment`, and each of its four output
+written to disk through `emit_outputs`, and each of its four output
 files is pinned by its sha256, so a change to how the files are written
 shows up too.  It is pinned twice: with the config's `gain`, and with
 `sut.target_density: 0.01` in its place, the calibrated path whose
@@ -31,7 +31,7 @@ from pathlib import Path
 import pytest
 
 from perfgan.generators import run_dn, run_ogan, run_random
-from perfgan.harness import load_config, parse_config, run_experiment
+from perfgan.harness import emit_outputs, load_config, parse_config, run_experiment
 from perfgan.rng import derive_run_seed
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -91,26 +91,25 @@ def test_suite_matches_golden_digest(case):
     assert suite_digest(suite) == digest
 
 
-def experiment_file_digests(cfg):
+def experiment_file_digests(cfg, out):
     short = [
         replace(v, config=replace(v.config, budget=60, warmup=50))
         for v in cfg.algorithms
     ]
-    run_experiment(replace(cfg, algorithms=short, runs=1))
+    cfg = replace(cfg, algorithms=short, runs=1)
+    emit_outputs(out, *run_experiment(cfg), cfg)
     return {
-        name: hashlib.sha256((cfg.output_dir / name).read_bytes()).hexdigest()
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in GOLDEN_FILES
     }
 
 
 def test_experiment_files_match_golden_digests(tmp_path):
-    cfg = load_config(CONFIG, output_dir=tmp_path)
-    assert experiment_file_digests(cfg) == GOLDEN_FILES
+    assert experiment_file_digests(load_config(CONFIG), tmp_path) == GOLDEN_FILES
 
 
 def test_calibrated_experiment_files_match_golden_digests(tmp_path):
     raw = json.loads(CONFIG.read_text())
     del raw["sut"]["gain"]
     raw["sut"]["target_density"] = 0.01
-    cfg = parse_config(raw, output_dir=tmp_path)
-    assert experiment_file_digests(cfg) == GOLDEN_CALIBRATED_FILES
+    assert experiment_file_digests(parse_config(raw), tmp_path) == GOLDEN_CALIBRATED_FILES

@@ -14,6 +14,7 @@ from perfgan.generators import AlgorithmConfig
 from perfgan.harness import (
     ALGORITHM_KINDS,
     ConfigError,
+    emit_outputs,
     histogram,
     load_config,
     run_experiment,
@@ -284,6 +285,11 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
 
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: cannot read"):
+            load_config(path)
+
 
 class TestSeedDerivation:
     def test_stable_and_distinct(self):
@@ -322,12 +328,13 @@ class TestRunExperiment:
         assert harness._RUNNERS[kind] is getattr(generators, f"run_{kind}")
 
     def test_result_count_and_reproducible_files(self, tmp_path):
-        cfg = load_config(write_config(tmp_path), output_dir=tmp_path / "out1")
+        cfg = load_config(write_config(tmp_path))
         results, summary = run_experiment(cfg)
         assert len(results) == 2 * 3
+        emit_outputs(tmp_path / "out1", results, summary, cfg)
 
-        cfg2 = load_config(write_config(tmp_path), output_dir=tmp_path / "out2")
-        run_experiment(cfg2)
+        cfg2 = load_config(write_config(tmp_path))
+        emit_outputs(tmp_path / "out2", *run_experiment(cfg2), cfg2)
         for name in ("tests.csv", "summary.json", "histogram.csv", "sma.csv"):
             a = (tmp_path / "out1" / name).read_bytes()
             b = (tmp_path / "out2" / name).read_bytes()
@@ -350,15 +357,16 @@ class TestRunExperiment:
 
     def test_csv_row_count(self, tmp_path):
         out = tmp_path / "out"
-        cfg = load_config(write_config(tmp_path), output_dir=out)
-        run_experiment(cfg)
+        cfg = load_config(write_config(tmp_path))
+        emit_outputs(out, *run_experiment(cfg), cfg)
         lines = (out / "tests.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 3 * 24  # header + runs x algorithms x budget
 
     def test_summary_json_round_trips(self, tmp_path):
         out = tmp_path / "out"
-        cfg = load_config(write_config(tmp_path), output_dir=out)
-        _, summary = run_experiment(cfg)
+        cfg = load_config(write_config(tmp_path))
+        results, summary = run_experiment(cfg)
+        emit_outputs(out, results, summary, cfg)
         on_disk = json.loads((out / "summary.json").read_text())
         assert on_disk == summary
         assert on_disk["oracle"]["cardinality"] == 729
