@@ -31,6 +31,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     RunResult,
+    emit_outputs,
     histogram,
     load_config,
     run_experiment,

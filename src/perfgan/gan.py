@@ -21,6 +21,7 @@ from .nn import (
     LayerSpec,
     NetworkState,
     NetworkTopology,
+    StepArrays,
     TrainingCopy,
     forward,
     forward_trace,
@@ -119,13 +120,13 @@ def train_generator(
     the constant target 1, in place on the `TrainingCopy` made on entry;
     `gan` is not mutated.  The frozen discriminator only relays its input
     gradient, and the generator's gradient with respect to the noise is
-    never computed.  Both passes write into arrays the training copy owns
-    for this call, the noise too (rng.random, *2, -1: rng.uniform(-1, 1)
-    bit for bit); no loss is computed.
+    never computed.  Both passes write into the `StepArrays` the call
+    builds when it starts, one set per network, the noise too (rng.random,
+    *2, -1: rng.uniform(-1, 1) bit for bit); no loss is computed.
     """
     n = max(32, suite_size)
     own = TrainingCopy(gan.generator)
-    gen, disc = own.arrays(own.state, n), own.arrays(gan.discriminator, n)
+    gen, disc = StepArrays(own.state, n, False), StepArrays(gan.discriminator, n, True)
     ones = np.ones((n, 1))
     for _ in range(hp.gen_epochs):
         noise = rng.random(out=gen.inputs)

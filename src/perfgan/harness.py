@@ -21,8 +21,9 @@ The config dataclasses are the JSON schema: `sut`, `fitness`, each
 algorithm and its `gan` build their dataclass by field name and type,
 and an unknown key anywhere is a ConfigError.  ExperimentConfig checks
 itself, so `parse_config`, `dataclasses.replace` (the CLI overrides)
-and library callers pass one check.  The output directory is not part
-of the config; callers pass it to `emit_outputs`.
+and library callers pass one check.  A `sut.target_density` becomes the
+gain at load, so summary.json's config echo loads back into an equal
+config.  The output directory is an argument of `emit_outputs`.
 
 Everything downstream of the master seed is deterministic, so repeated
 invocations produce byte-identical files.
@@ -95,7 +96,6 @@ class ExperimentConfig:
     master_seed: int = 0
     sma_window: int = 10
     histogram_bins: int = 10
-    target_density: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("runs", "sma_window", "histogram_bins"):
@@ -103,15 +103,21 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: must be >= 1")
         if self.master_seed < 0:
             raise ConfigError("master_seed: must be >= 0")
+        total = cardinality(self.space)
+        for i, variant in enumerate(self.algorithms):
+            path = f"algorithms[{i}]"
+            if variant.kind not in ALGORITHM_KINDS:
+                raise ConfigError(f"{path}.kind: must be one of {ALGORITHM_KINDS}")
+            if not isinstance(variant.label, str):
+                raise ConfigError(f"{path}.label: expected a string, got {variant.label!r}")
+            if variant.config.budget > total:
+                raise ConfigError(f"{path}.budget: exceeds space cardinality {total}")
+            if self.sma_window > variant.config.budget:
+                raise ConfigError(f"sma_window: exceeds budget of algorithm {variant.label!r}")
+        # after the label checks: a label the JSON gave may be unhashable
         labels = [v.label for v in self.algorithms]
         if len(set(labels)) != len(labels):
             raise ConfigError("algorithms: labels must be distinct (set 'label')")
-        total = cardinality(self.space)
-        for i, variant in enumerate(self.algorithms):
-            if variant.config.budget > total:
-                raise ConfigError(f"algorithms[{i}].budget: exceeds space cardinality {total}")
-            if self.sma_window > variant.config.budget:
-                raise ConfigError(f"sma_window: exceeds budget of algorithm {variant.label!r}")
         # the peak bounds every measurement in the space
         power = self.sut.peak_power(self.space)
         if not math.isfinite(power):
@@ -201,8 +207,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 
 def _scalar_fields() -> list[str]:
-    """The top-level keys besides the sections: ExperimentConfig's integer
-    fields (target_density comes from `sut`)."""
+    """The top-level keys besides the sections: ExperimentConfig's int fields."""
     return [name for name, tp in _field_types(ExperimentConfig).items() if tp is int]
 
 
@@ -259,12 +264,7 @@ def _load_algorithm(raw: Any, index: int) -> AlgorithmVariant:
     path = f"algorithms[{index}]"
     config = _section(AlgorithmConfig, raw, path, extra=("kind", "label"))
     kind = _require(raw, "kind", path)
-    if kind not in ALGORITHM_KINDS:
-        raise ConfigError(f"{path}.kind: must be one of {ALGORITHM_KINDS}")
-    default_label = kind if kind != "dn" else f"dn_bs{config.batchsize}"
-    label = raw.get("label", default_label)
-    if not isinstance(label, str):
-        raise ConfigError(f"{path}.label: expected a string, got {label!r}")
+    label = raw.get("label", kind if kind != "dn" else f"dn_bs{config.batchsize}")
     return AlgorithmVariant(label=label, kind=kind, config=config)
 
 
@@ -305,7 +305,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         sut = calibrate_gain(sut, space, fitness, density)
     except (ValueError, CalibrationError) as exc:
         raise ConfigError(f"sut.target_density: {exc}") from exc
-    return replace(cfg, sut=sut, target_density=density)
+    return replace(cfg, sut=sut)
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +389,16 @@ def summarize(cfg: ExperimentConfig, results: list[RunResult]) -> dict:
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    # the output directory and wall-clock data stay out: two invocations
-    # with the same master seed must produce byte-identical files.  Levels
-    # are listed because asdict keeps tuples, and the echo must equal its
-    # own JSON round trip.
+    # a config parse_config loads back into an equal cfg; a calibrated
+    # sut is echoed by its gain.  The output directory and wall-clock data
+    # stay out: two invocations with the same master seed must produce
+    # byte-identical files.  Levels are listed because asdict keeps
+    # tuples, and the echo must equal its own JSON round trip.
     return {
         "space": [
             {"name": d.name, "levels": list(d.levels)} for d in cfg.space.dims
         ],
-        "sut": {**asdict(cfg.sut), "target_density": cfg.target_density},
+        "sut": asdict(cfg.sut),
         "fitness": asdict(cfg.fitness),
         "algorithms": [
             {"label": v.label, "kind": v.kind, **asdict(v.config)}

@@ -307,23 +307,14 @@ class StepArrays:
 class TrainingCopy:
     """A training call's own copy of a network (`state.copy()`, made on
     entry), which every step updates in place, plus a gradient vector
-    with per-layer views (`grad_views`), one scratch vector, and the
-    call's `StepArrays`, one set per network and batch size."""
+    with per-layer views (`grad_views`) and one scratch vector; the call
+    builds its `StepArrays` on entry too, one per network and batch size."""
 
     def __init__(self, state: NetworkState) -> None:
         self.state = state.copy()
         self.grads = np.empty_like(state.params)
         self.grad_views = _split(self.grads, state.topology)
         self.scratch = np.empty_like(state.params)
-        self.step_arrays: dict[tuple[int, int], StepArrays] = {}
-
-    def arrays(self, state: NetworkState, rows: int) -> StepArrays:
-        """The arrays for `state` (this copy's, or a frozen network that
-        relays its input gradient) at `rows` rows, built on first use."""
-        key = (id(state), rows)
-        if key not in self.step_arrays:
-            self.step_arrays[key] = StepArrays(state, rows, state is not self.state)
-        return self.step_arrays[key]
 
     def backward(self, arrays: StepArrays, output_grad: np.ndarray) -> None:
         """Gradients through `arrays.trace`, a pass of `state`, into the
@@ -384,13 +375,15 @@ def train_epochs(
         raise ValueError("epochs and minibatch must be >= 1")
 
     own = TrainingCopy(state)
+    step_arrays = {rows: StepArrays(own.state, rows, False)
+                   for rows in {min(n, minibatch), n % minibatch or minibatch}}
     total = 0.0
     for epoch in range(epochs):
         perm = rng.permutation(n)
         last = epoch == epochs - 1
         for start in range(0, n, minibatch):
             batch = perm[start : start + minibatch]
-            arrays = own.arrays(own.state, len(batch))
+            arrays = step_arrays[len(batch)]
             # "clip" writes unbuffered; a permutation's indices are in range
             x.take(batch, 0, arrays.inputs, "clip")
             trace = forward_trace(own.state, arrays.inputs, out=arrays.trace)

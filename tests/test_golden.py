@@ -14,9 +14,10 @@ say why.
 The same short experiment, one run of every default variant, is also
 written to disk through `emit_outputs`, and each of its four output
 files is pinned by its sha256, so a change to how the files are written
-shows up too.  It is pinned twice: with the config's `gain`, and with
-`sut.target_density: 0.01` in its place, the calibrated path whose
-config echo in summary.json differs.
+shows up too.  It is pinned twice, to the same digests: with the
+config's `gain`, and with `sut.target_density: 0.01` in its place.  The
+default gain is that calibration, and the config echo in summary.json
+holds only the gain, so the two write the same bytes.
 
 The digests were recorded with numpy 2.4 and OpenBLAS 0.3 on x86-64.  A
 different BLAS may round a network output differently and, at an exact
@@ -59,15 +60,9 @@ RUNNERS = {"random": run_random, "dn": run_dn, "ogan": run_ogan}
 # output file -> sha256 of its bytes after one short default experiment
 GOLDEN_FILES = {
     "tests.csv": "d0fa79ffa08b325b4a406fe0195c555b6fb345daf590eb6c62becf738402ec80",
-    "summary.json": "6081b6bfe9253e4fd84bad549e6e4b64fe14542d7c1ac1b2e30c1d750b82526c",
+    "summary.json": "14c13aff9b1531d14e822d711fcaae99edaee8dbc59fe90af910116f872e30ec",
     "histogram.csv": "6e5b111f9f344d96432eafd3f891698be2e7d9b3d18dc2a137059a12458d3801",
     "sma.csv": "5266ee8f964ea25542462324eebb939acc8754d2efb804e2067fbed52e80b245",
-}
-# the same with the gain calibrated from target_density 0.01: the default
-# gain is that calibration, so only the config echo moves
-GOLDEN_CALIBRATED_FILES = {
-    **GOLDEN_FILES,
-    "summary.json": "0f7be8d714a1c362de192a2bc6e4051fcf7294b038207b26b70bb1c1cd02babd",
 }
 
 
@@ -112,4 +107,4 @@ def test_calibrated_experiment_files_match_golden_digests(tmp_path):
     raw = json.loads(CONFIG.read_text())
     del raw["sut"]["gain"]
     raw["sut"]["target_density"] = 0.01
-    assert experiment_file_digests(parse_config(raw), tmp_path) == GOLDEN_CALIBRATED_FILES
+    assert experiment_file_digests(parse_config(raw), tmp_path) == GOLDEN_FILES

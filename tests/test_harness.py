@@ -8,6 +8,7 @@ from dataclasses import MISSING, fields, is_dataclass, replace
 import numpy as np
 import pytest
 
+import perfgan
 from perfgan import generators, harness
 from perfgan.gan import GanHyperparams
 from perfgan.generators import AlgorithmConfig
@@ -17,11 +18,12 @@ from perfgan.harness import (
     emit_outputs,
     histogram,
     load_config,
+    parse_config,
     run_experiment,
     sma,
 )
 from perfgan.rng import derive_run_seed
-from perfgan.sut import FitnessSpec, SyntheticSut
+from perfgan.sut import FitnessSpec, SyntheticSut, calibrate_gain
 
 
 def config_dict(**overrides):
@@ -142,14 +144,10 @@ class TestConfigLoading:
         assert cfg.algorithms[1].config.batchsize == 4
 
     def test_target_density_triggers_calibration(self, tmp_path):
-        cfg = load_config(
-            write_config(
-                tmp_path,
-                sut={"p_idle": 0.5, "kappa_big": 1.0, "kappa_little": 0.15,
-                     "target_density": 0.05},
-            )
-        )
-        assert cfg.target_density == 0.05
+        sut = {"p_idle": 0.5, "kappa_big": 1.0, "kappa_little": 0.15}
+        cfg = load_config(write_config(tmp_path, sut={**sut, "target_density": 0.05}))
+        calibrated = calibrate_gain(SyntheticSut(**sut), cfg.space, cfg.fitness, 0.05)
+        assert cfg.sut.gain == calibrated.gain
         assert cfg.sut.gain != 1.0
 
     def test_gain_and_density_conflict(self, tmp_path):
@@ -168,12 +166,14 @@ class TestConfigLoading:
             load_config(path)
 
     def test_unknown_algorithm_kind(self, tmp_path):
-        bad = config_dict()
-        bad["algorithms"][0]["kind"] = "annealing"
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(bad))
-        with pytest.raises(ConfigError, match=r"algorithms\[0\]\.kind"):
-            load_config(path)
+        # a list is unhashable: the kind check must come before any set of labels
+        for kind in ("annealing", ["x"]):
+            bad = config_dict()
+            bad["algorithms"][0]["kind"] = kind
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ConfigError, match=r"algorithms\[0\]\.kind"):
+                load_config(path)
 
     def test_space_needs_six_dimensions(self, tmp_path):
         bad = config_dict()
@@ -203,12 +203,14 @@ class TestConfigLoading:
             load_config(path)
 
     def test_null_label_rejected(self, tmp_path):
-        bad = config_dict()
-        bad["algorithms"][0]["label"] = None
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(bad))
-        with pytest.raises(ConfigError, match=r"algorithms\[0\]\.label"):
-            load_config(path)
+        # a list is unhashable: the label check must come before any set of labels
+        for label in (None, ["x"]):
+            bad = config_dict()
+            bad["algorithms"][0]["label"] = label
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ConfigError, match=r"algorithms\[0\]\.label"):
+                load_config(path)
 
     def test_sma_window_must_fit_budget(self, tmp_path):
         path = write_config(tmp_path, sma_window=25)
@@ -261,12 +263,18 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("runs", 0), ("sma_window", 0), ("histogram_bins", 0), ("master_seed", -1)],
+        [("runs", 0), ("sma_window", 0), ("histogram_bins", 0), ("master_seed", -1),
+         ("algorithms[0].kind", "annealing"), ("algorithms[0].label", None)],
     )
     def test_replace_is_validated(self, tmp_path, key, value):
         cfg = load_config(write_config(tmp_path))
-        with pytest.raises(ConfigError, match=f"^{key}: "):
-            replace(cfg, **{key: value})
+        changes = {key: value}
+        if key.startswith("algorithms[0]."):
+            # a variant a library caller built, which no JSON loader saw
+            variant = replace(cfg.algorithms[0], **{key.partition(".")[2]: value})
+            changes = {"algorithms": [variant, *cfg.algorithms[1:]]}
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            replace(cfg, **changes)
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["Infinity", "NaN"])
     @pytest.mark.parametrize("field", NUMBER_FIELDS)
@@ -366,10 +374,12 @@ class TestRunExperiment:
         out = tmp_path / "out"
         cfg = load_config(write_config(tmp_path))
         results, summary = run_experiment(cfg)
-        emit_outputs(out, results, summary, cfg)
+        perfgan.emit_outputs(out, results, summary, cfg)
         on_disk = json.loads((out / "summary.json").read_text())
         assert on_disk == summary
         assert on_disk["oracle"]["cardinality"] == 729
+        # the config echo is a config
+        assert parse_config(on_disk["config"]) == cfg
 
     def test_histogram_sums_and_sma_length(self, tmp_path):
         cfg = load_config(write_config(tmp_path))

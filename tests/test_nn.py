@@ -252,7 +252,7 @@ class TestBackward:
         # TrainingCopy.backward leaves its parameter gradients in
         # grad_views until update spends them
         own = nn.TrainingCopy(net)
-        arrays = own.arrays(own.state, 40)
+        arrays = nn.StepArrays(own.state, 40, False)
         arrays.inputs[:] = x
         forward_trace(own.state, arrays.inputs, out=arrays.trace)
         own.backward(arrays, output_grad.copy())
@@ -260,7 +260,7 @@ class TestBackward:
         for a, b in zip(full.weight_grads + full.bias_grads, weight_grads + bias_grads):
             assert a.tobytes() == b.tobytes()
         # a frozen network's relay is the input gradient of the MSE gradient
-        frozen = own.arrays(net, 40)
+        frozen = nn.StepArrays(net, 40, True)
         forward_trace(net, x, out=frozen.trace)
         relayed = frozen.relay(targets)
         expected = trace.backward(reference_mse_grad(trace.output, targets)[1]).input_grad
