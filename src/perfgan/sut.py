@@ -10,17 +10,20 @@ power meets it; fitness compresses power onto [0, 1] as min(1, power/p_m).
 The space is exhaustively enumerable, so the exact positive set comes
 from a brute-force oracle whose grid is `measure` at every input, bit
 for bit, and `gain` can be calibrated to a requested positive fraction.
+Before gain the model is an outer sum of two cluster terms; counting,
+the positive set and calibration walk it block by block in rank order
+and never build the grid, which `power_grid` still returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Protocol
+from typing import Iterator, Protocol
 
 import numpy as np
 
-from .space import InputSpace, TestInput, cardinality, unrank
+from .space import InputSpace, TestInput, cardinality
 
 
 class SutInterface(Protocol):
@@ -68,32 +71,43 @@ class SyntheticSut:
 
     def power_grid(self, space: InputSpace) -> np.ndarray:
         """Power for every configuration, flat in enumeration order: `measure`
-        at every input, bit for bit, in one grid scaled in place."""
-        return self._scale(self._dynamic_at_every_input(space))
+        at every input, bit for bit, filled block by block."""
+        grid = np.empty(cardinality(space))
+        for start, block in self._dynamic_blocks(space):
+            grid[start : start + block.size] = self._scale(block)
+        return grid
 
     def _power(self, space: InputSpace, values: tuple[float, ...]) -> float:
         n_b, f_b, u_b, n_l, f_l, u_l = values
         c_b = _freq_ratio_cubed(f_b, space.dims[1].levels[-1])
         c_l = _freq_ratio_cubed(f_l, space.dims[4].levels[-1])
-        return self._scale(self._dynamic(n_b, c_b, u_b, n_l, c_l, u_l))
+        return self._scale(
+            _cluster(self.kappa_big, n_b, c_b, u_b) + _cluster(self.kappa_little, n_l, c_l, u_l)
+        )
 
-    def _dynamic_at_every_input(self, space: InputSpace) -> np.ndarray:
-        # one new array, flat in enumeration order
+    def _dynamic_blocks(self, space: InputSpace) -> Iterator[tuple[int, np.ndarray]]:
+        """(first rank, new flat block) pairs of the power model before gain, in
+        rank order: one block per (big_cpus, big_freq) pair, that pair's
+        big-cluster terms plus every little-cluster term, summed as `_power` sums."""
         n_b, f_b, u_b, n_l, f_l, u_l = (d.levels for d in space.dims)
         c_b = [_freq_ratio_cubed(f, f_b[-1]) for f in f_b]
         c_l = [_freq_ratio_cubed(f, f_l[-1]) for f in f_l]
-        return self._dynamic(*np.ix_(n_b, c_b, u_b, n_l, c_l, u_l)).reshape(-1)
-
-    def _dynamic(self, n_b, c_b, u_b, n_l, c_l, u_l):
-        """The power model before gain, ((kappa*n)*u)*c per cluster with c = (f/f_max)^3:
-        on one input's floats, or on np.ix_ level arrays, which round alike."""
-        return self.kappa_big * n_b * u_b * c_b + self.kappa_little * n_l * u_l * c_l
+        big = _cluster(self.kappa_big, *np.ix_(n_b, c_b, u_b)).reshape(-1, len(u_b), 1)
+        little = _cluster(self.kappa_little, *np.ix_(n_l, c_l, u_l)).reshape(-1)
+        for i, terms in enumerate(big):
+            yield i * terms.size * little.size, (terms + little).reshape(-1)
 
     def _scale(self, dynamic):
         """gain * dynamic + p_idle: a float, or an array scaled in place."""
         dynamic *= self.gain
         dynamic += self.p_idle
         return dynamic
+
+
+def _cluster(kappa, n, c, u):
+    """One cluster's power before gain, ((kappa*n)*u)*c with c = (f/f_max)^3:
+    on one input's floats, or on np.ix_ level arrays, which round alike."""
+    return kappa * n * u * c
 
 
 def _freq_ratio_cubed(f: float, f_max: float) -> float:
@@ -114,13 +128,20 @@ def oracle_positive_set(
     sut: SyntheticSut, space: InputSpace, spec: FitnessSpec
 ) -> set[TestInput]:
     """Exact positive set {i : power(i) >= p_m} by exhaustive evaluation."""
-    powers = sut.power_grid(space)
-    return {unrank(space, int(r)) for r in np.flatnonzero(powers >= spec.p_m)}
+    positives: set[TestInput] = set()
+    for start, block in sut._dynamic_blocks(space):
+        ranks = np.flatnonzero(sut._scale(block) >= spec.p_m) + start
+        indices = np.unravel_index(ranks, space.level_counts)
+        positives.update(zip(*(idx.tolist() for idx in indices)))
+    return positives
 
 
 def oracle_positive_count(sut: SyntheticSut, space: InputSpace, spec: FitnessSpec) -> int:
     """Number of configurations whose power meets the threshold."""
-    return int(np.count_nonzero(sut.power_grid(space) >= spec.p_m))
+    return sum(
+        int(np.count_nonzero(sut._scale(block) >= spec.p_m))
+        for _, block in sut._dynamic_blocks(space)
+    )
 
 
 def positive_density(sut: SyntheticSut, space: InputSpace, spec: FitnessSpec) -> float:
@@ -136,31 +157,42 @@ def calibrate_gain(
 ) -> SyntheticSut:
     """Scale `gain` so roughly `target_density` of the space is positive.
 
-    Picks gain so the power of the ceil(density * N)-th hottest
-    configuration lands exactly on p_m.  Grid quantization (ties between
-    equal dynamic terms) keeps the achieved density approximate; it must
-    land within [0.5x, 2x] of the target or calibration fails.
+    Picks gain so the power of the want-th hottest configuration lands
+    exactly on p_m, where want = round(density * N) with Python's `round`
+    (halves go to the even neighbour), and at least 1.  Grid quantization
+    (ties between equal dynamic terms) keeps the achieved density
+    approximate; it must land within [0.5x, 2x] of the target or
+    calibration fails.
     """
     if not 0 < target_density < 1:
         raise ValueError("target_density must lie in (0, 1)")
     headroom = spec.p_m - sut.p_idle
     if headroom <= 0:
         raise CalibrationError(f"threshold {spec.p_m} not above idle power {sut.p_idle}")
-    # one grid: partitioned in place, then scaled in place into the powers
-    # (power_grid's order) to count the achieved density
-    dynamic = sut._dynamic_at_every_input(space)
-    n = dynamic.size
+    n = cardinality(space)
     want = max(1, round(target_density * n))
-    dynamic.partition(n - want)
-    kth = float(dynamic[n - want])
+    # the want-th largest term is minus the (n - want + 1)-th largest of the
+    # negated terms: select on the side that keeps fewer
+    keep, sign = (want, 1.0) if 2 * want <= n else (n - want + 1, -1.0)
+    # the keep largest signed terms so far, smallest first once there are
+    # keep; a term no larger than that smallest cannot change it
+    top = np.empty(0)
+    for _, block in sut._dynamic_blocks(space):
+        block *= sign
+        if top.size == keep:
+            block = block[block > top[0]]
+        top = np.concatenate((top, block))
+        if top.size >= keep:
+            top.partition(top.size - keep)
+            top = top[top.size - keep :]
+    kth = sign * float(top[0])
     if kth <= 0:
         raise CalibrationError("space has too little dynamic-power variation")
     calibrated = replace(sut, gain=headroom / kth)
-    achieved = np.count_nonzero(calibrated._scale(dynamic) >= spec.p_m) / n
+    achieved = positive_density(calibrated, space, spec)
     if not 0.5 * target_density <= achieved <= 2.0 * target_density:
         raise CalibrationError(
             f"achieved density {achieved:.5f} outside "
             f"[{0.5 * target_density:.5f}, {2.0 * target_density:.5f}]"
         )
     return calibrated
-

@@ -4,8 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfgan.space import (
+    DIMENSION_ROLES,
     Dimension,
     InputSpace,
     cardinality,
@@ -107,16 +110,23 @@ class TestMeasure:
         assert grid.max() == sut.peak_power(space)
 
     @pytest.mark.parametrize(
-        "call",
+        "call, grids",
         [
-            lambda sut, space: calibrate_gain(sut, space, FitnessSpec(), 0.01),
-            lambda sut, space: oracle_positive_count(sut, space, FitnessSpec()),
-            lambda sut, space: sut.power_grid(space),
+            pytest.param(
+                lambda sut, space: calibrate_gain(sut, space, FitnessSpec(), 0.01), 0.1,
+                id="calibrate_gain",
+            ),
+            pytest.param(
+                lambda sut, space: oracle_positive_count(sut, space, FitnessSpec()), 0.1,
+                id="oracle_positive_count",
+            ),
+            pytest.param(lambda sut, space: sut.power_grid(space), 1.5, id="power_grid"),
         ],
-        ids=["calibrate_gain", "oracle_positive_count", "power_grid"],
     )
-    def test_builds_one_full_grid(self, call):
-        # peak traced memory, in multiples of one float64 grid of the space
+    def test_builds_one_full_grid(self, call, grids):
+        # peak traced memory, in multiples of one float64 grid of the space:
+        # only power_grid holds a grid, its result; counting and calibration
+        # walk the outer sum one block at a time
         sut, space = SyntheticSut(), default_space()
         call(sut, space)  # warm caches outside the measurement
         tracemalloc.start()
@@ -125,7 +135,7 @@ class TestMeasure:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * cardinality(space)
+        assert peak < grids * 8 * cardinality(space)
 
     def test_constants_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -270,3 +280,93 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_gain(SyntheticSut(), default_space(), FitnessSpec(), 0.0)
 
+
+# a level is a multiple of 1/8, so that equal dynamic terms tie exactly,
+# or any float in range, so that sums round
+level = st.one_of(st.integers(0, 64).map(lambda k: k / 8), st.floats(0.0, 16.0))
+
+
+@st.composite
+def power_case(draw):
+    """A small space (single-level dimensions included), SUT constants,
+    a threshold and a target density, sometimes (k + 1/2) / N, where the
+    rounding rule of `want` decides."""
+    space = InputSpace(
+        dims=tuple(
+            Dimension(role, tuple(sorted(draw(st.lists(level, min_size=1, max_size=4, unique=True)))))
+            for role in DIMENSION_ROLES
+        )
+    )
+    sut = SyntheticSut(
+        p_idle=draw(st.floats(0.01, 4.0)),
+        kappa_big=draw(st.floats(0.01, 4.0)),
+        kappa_little=draw(st.floats(0.01, 4.0)),
+        gain=draw(st.floats(0.1, 8.0)),
+    )
+    n = cardinality(space)
+    density = draw(
+        st.one_of(st.floats(0.001, 0.999), st.integers(0, n - 1).map(lambda k: (k + 0.5) / n))
+    )
+    return sut, space, FitnessSpec(p_m=draw(st.floats(0.01, 60.0))), density
+
+
+def reference_dynamic_grid(sut, space):
+    """The power model before gain at every input, flat in rank order,
+    built as one np.ix_ broadcast over all six dimensions."""
+
+    def cubes(freqs):
+        return [(f / freqs[-1]) ** 3 if freqs[-1] > 0 else 0.0 for f in freqs]
+
+    n_b, f_b, u_b, n_l, f_l, u_l = (d.levels for d in space.dims)
+    n_b, c_b, u_b, n_l, c_l, u_l = np.ix_(n_b, cubes(f_b), u_b, n_l, cubes(f_l), u_l)
+    return (sut.kappa_big * n_b * u_b * c_b + sut.kappa_little * n_l * u_l * c_l).reshape(-1)
+
+
+def reference_gain(sut, space, spec, density):
+    """calibrate_gain over one full grid: partition it for the want-th
+    largest dynamic term, then gain = headroom / kth."""
+    headroom = spec.p_m - sut.p_idle
+    if headroom <= 0:
+        raise CalibrationError(f"threshold {spec.p_m} not above idle power {sut.p_idle}")
+    dynamic = reference_dynamic_grid(sut, space)
+    n = dynamic.size
+    want = max(1, round(density * n))
+    dynamic.partition(n - want)
+    kth = float(dynamic[n - want])
+    if kth <= 0:
+        raise CalibrationError("space has too little dynamic-power variation")
+    gain = headroom / kth
+    achieved = np.count_nonzero(dynamic * gain + sut.p_idle >= spec.p_m) / n
+    if not 0.5 * density <= achieved <= 2.0 * density:
+        raise CalibrationError(
+            f"achieved density {achieved:.5f} outside "
+            f"[{0.5 * density:.5f}, {2.0 * density:.5f}]"
+        )
+    return gain
+
+
+def outcome(calibrate, *args):
+    try:
+        return calibrate(*args)
+    except CalibrationError as exc:
+        return f"CalibrationError: {exc}"
+
+
+class TestBlockWalkIsExact:
+    @settings(deadline=None)
+    @given(power_case())
+    def test_grid_count_and_set_match_one_full_grid(self, case):
+        sut, space, spec, _ = case
+        grid = sut.power_grid(space)
+        assert np.array_equal(grid, reference_dynamic_grid(sut, space) * sut.gain + sut.p_idle)
+        positive = grid >= spec.p_m
+        assert oracle_positive_count(sut, space, spec) == np.count_nonzero(positive)
+        expected = {unrank(space, int(r)) for r in np.flatnonzero(positive)}
+        assert oracle_positive_set(sut, space, spec) == expected
+
+    @settings(deadline=None)
+    @given(power_case())
+    def test_calibration_matches_one_full_grid(self, case):
+        sut, space, spec, density = case
+        got = outcome(lambda *a: calibrate_gain(*a).gain, sut, space, spec, density)
+        assert got == outcome(reference_gain, sut, space, spec, density)
