@@ -31,7 +31,6 @@ from .nn import (
 from .space import NUM_DIMENSIONS
 
 LATENT_DIM = 100
-CANDIDATE_DIM = NUM_DIMENSIONS
 
 GENERATOR_TOPOLOGY = NetworkTopology(
     input_dim=LATENT_DIM,
@@ -39,12 +38,12 @@ GENERATOR_TOPOLOGY = NetworkTopology(
         LayerSpec(128, "tanh"),
         LayerSpec(128, "tanh"),
         LayerSpec(128, "tanh"),
-        LayerSpec(CANDIDATE_DIM, "tanh"),
+        LayerSpec(NUM_DIMENSIONS, "tanh"),
     ),
 )
 
 DISCRIMINATOR_TOPOLOGY = NetworkTopology(
-    input_dim=CANDIDATE_DIM,
+    input_dim=NUM_DIMENSIONS,
     layers=(
         LayerSpec(8, "tanh"),
         LayerSpec(8, "tanh"),

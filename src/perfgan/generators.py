@@ -25,9 +25,10 @@ accepted at.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -135,39 +136,32 @@ class AlgorithmConfig:
             raise ValueError("fallback_after must be >= 1")
 
 
-class _Searcher(NamedTuple):
-    """What a learning algorithm plugs into the shared acceptance loop.
-
-    propose(executed, stalled) returns (trials, candidates not among the
-    executed ranks), with stalled true past the stall guard;
-    predict(candidates) returns one fitness per candidate; retrain(suite)
-    updates the model in place.
-    """
-
-    propose: Callable[[set[int], bool], tuple[int, list[int]]]
-    predict: Callable[[list[int]], np.ndarray]
-    retrain: Callable[[TestSuite], None]
-
-
 def _search(
     space: InputSpace,
     sut: SutInterface,
     spec: FitnessSpec,
     cfg: AlgorithmConfig,
     seed: int,
-    searcher: _Searcher | None,
+    propose: Callable[[set[int], bool], tuple[int, list[int]]] | None = None,
+    predict: Callable[[np.ndarray], np.ndarray] | None = None,
+    retrain: Callable[[Dataset], None] | None = None,
 ) -> TestSuite:
-    """Warm-up, then (with a searcher) the acceptance loop to the budget.
+    """Warm-up, then (with the three hooks) the acceptance loop to the budget.
 
-    Without a searcher the warm-up alone fills the budget.  With one,
-    the model trains on the nonempty suite before every searched test,
-    so never after the last one.  Each pass multiplies the threshold by
-    treducer; every proposed candidate costs a trial, executed ones
-    included, and the best prediction among the unexecuted ones must
-    reach the threshold.  Past fallback_after passes the threshold is
-    recorded as exactly 0 and the best candidate is accepted outright,
-    so every searched test ends once a proposal holds a candidate.  A
-    non-finite prediction is an error naming the searched test's index.
+    propose(executed, stalled) returns (trials, candidate ranks not among
+    the executed ranks), with stalled true past the stall guard;
+    predict(rows) returns one fitness per row of the candidates'
+    `normalize_batch` encoding; retrain(dataset) updates the model in
+    place from the suite's `training_arrays`.  Without hooks the warm-up
+    alone fills the budget.  With them, the model trains on the nonempty
+    suite before every searched test, so never after the last one.  Each
+    pass multiplies the threshold by treducer; every proposed candidate
+    costs a trial, executed ones included, and the best prediction among
+    the unexecuted ones must reach the threshold.  Past fallback_after
+    passes the threshold is recorded as exactly 0 and the best candidate
+    is accepted outright, so every searched test ends once a proposal
+    holds a candidate.  A non-finite prediction is an error naming the
+    searched test's index.
     """
     if cfg.budget > cardinality(space):
         raise ValueError(
@@ -181,6 +175,10 @@ def _search(
         test_input = unrank(space, r)
         power = sut.measure(space, test_input)
         try:
+            # a numpy scalar would reach tests.csv as its repr
+            if not isinstance(power, numbers.Real):
+                raise ValueError(f"power must be a real number, got {power!r}")
+            power = float(power)
             fit = fitness(spec, power)
         except ValueError as exc:
             raise ValueError(f"input {test_input}: {exc}") from exc
@@ -189,25 +187,25 @@ def _search(
         executed.add(r)
 
     rng = stream_rng(seed, "warmup-sampling")
-    for _ in range(cfg.warmup if searcher is not None else cfg.budget):
+    for _ in range(cfg.warmup if propose is not None else cfg.budget):
         (r,) = sample_uniform(space, executed, 1, rng)
         execute(r, 1, 1)
-    if searcher is None:
+    if propose is None:
         return suite
     while len(suite) < cfg.budget:
         if suite.records:
-            searcher.retrain(suite)
+            retrain(suite.training_arrays(space))
         target = 1.0
         passes = trials = 0
         while True:
             passes += 1
             stalled = passes > cfg.fallback_after
             target = 0.0 if stalled else target * cfg.treducer
-            proposed, candidates = searcher.propose(executed, stalled)
+            proposed, candidates = propose(executed, stalled)
             trials += proposed
             if not candidates:
                 continue
-            predictions = searcher.predict(candidates)
+            predictions = predict(normalize_batch(space, candidates))
             if not np.isfinite(predictions).all():
                 raise ValueError(f"test {len(suite)}: non-finite prediction in {predictions}")
             best = int(np.argmax(predictions))
@@ -225,7 +223,7 @@ def run_random(
     seed: int,
 ) -> TestSuite:
     """Uniform sampling without replacement until the budget is spent."""
-    return _search(space, sut, spec, cfg, seed, None)
+    return _search(space, sut, spec, cfg, seed)
 
 
 def run_dn(
@@ -250,15 +248,12 @@ def run_dn(
         batch = min(cfg.batchsize, total - len(executed))
         return batch, sample_uniform(space, executed, batch, rng_sample)
 
-    def predict(candidates: list[int]) -> np.ndarray:
-        return forward(disc, normalize_batch(space, candidates))[:, 0]
-
-    def retrain(suite: TestSuite) -> None:
+    def retrain(dataset: Dataset) -> None:
         nonlocal disc
-        disc, _ = train_epochs(disc, suite.training_arrays(space), cfg.gan.disc_epochs,
-                               cfg.gan.minibatch, rng_train)
+        disc, _ = train_epochs(disc, dataset, cfg.gan.disc_epochs, cfg.gan.minibatch, rng_train)
 
-    return _search(space, sut, spec, cfg, seed, _Searcher(propose, predict, retrain))
+    return _search(space, sut, spec, cfg, seed, propose,
+                   lambda rows: forward(disc, rows)[:, 0], retrain)
 
 
 def run_ogan(
@@ -307,12 +302,10 @@ def run_ogan(
         r = block.pop(0)
         return 1, [] if r in executed else [r]
 
-    def predict(candidates: list[int]) -> np.ndarray:
-        return predict_fitness(gan, normalize_batch(space, candidates))
-
-    def retrain(suite: TestSuite) -> None:
+    def retrain(dataset: Dataset) -> None:
         nonlocal gan, block
-        gan = train_gan(gan, suite.training_arrays(space), cfg.gan, rng_train)
+        gan = train_gan(gan, dataset, cfg.gan, rng_train)
         block = []
 
-    return _search(space, sut, spec, cfg, seed, _Searcher(propose, predict, retrain))
+    return _search(space, sut, spec, cfg, seed, propose,
+                   lambda rows: predict_fitness(gan, rows), retrain)

@@ -116,16 +116,12 @@ def normalize_batch(space: InputSpace, ranks: Sequence[int] | np.ndarray) -> np.
 
     `ranks` is a list or a 1-D integer array (not a set or a generator).
     Component j is -1 + 2*index/(L-1) for an L-level dimension; a
-    single-level dimension encodes as 0.  Raises ValueError on a rank
-    outside [0, cardinality).
+    single-level dimension encodes as 0.  A rank outside [0, cardinality)
+    raises numpy's ValueError, which names it.
     """
     r = np.asarray(ranks, dtype=np.int64)
     if r.ndim != 1:
         raise ValueError(f"ranks must be one-dimensional, got shape {r.shape}")
-    total = cardinality(space)
-    bad = (r < 0) | (r >= total)
-    if bad.any():
-        raise ValueError(f"rank {r[bad][0]} out of range [0, {total})")
     idx = np.stack(np.unravel_index(r, space.level_counts), axis=1)
     counts = np.asarray(space.level_counts, dtype=np.int64)
     denom = np.maximum(counts - 1, 1).astype(np.float64)

@@ -18,6 +18,7 @@ from perfgan.space import (
     enumerate_inputs,
     rank,
     sample_uniform,
+    snap,
 )
 from perfgan.sut import FitnessSpec, SyntheticSut
 
@@ -247,22 +248,23 @@ class TestSearchBookkeeping:
     def test_predict_never_sees_an_executed_rank(self, monkeypatch, run):
         # the stall guard fires for ogan at seed 30, so its uniform
         # fallback proposals are checked as well as the generator's
-        handed = []  # (records executed so far, candidates) per predict call
+        handed = []  # (records executed so far, candidate ranks) per predict call
         real_search = generators._search
 
-        def recording_search(space, sut, spec, cfg, seed, searcher):
+        def recording_search(space, sut, spec, cfg, seed, propose, predict, retrain):
             current = {}
 
-            def retrain(suite):
-                current["suite"] = suite
-                searcher.retrain(suite)
+            def recording_retrain(dataset):
+                current["executed"] = len(dataset[0])
+                retrain(dataset)
 
-            def predict(candidates):
-                handed.append((len(current["suite"]), list(candidates)))
-                return searcher.predict(candidates)
+            def recording_predict(rows):
+                # predict sees encoded rows; snap decodes them to ranks
+                handed.append((current["executed"], snap(space, rows).tolist()))
+                return predict(rows)
 
-            recording = searcher._replace(predict=predict, retrain=retrain)
-            return real_search(space, sut, spec, cfg, seed, recording)
+            return real_search(space, sut, spec, cfg, seed, propose,
+                               recording_predict, recording_retrain)
 
         monkeypatch.setattr(generators, "_search", recording_search)
         cfg = fast_cfg(fallback_after=25)
@@ -293,7 +295,7 @@ class TestSearchBookkeeping:
 
 
 class TestBadMeasurement:
-    @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf, -1.0, "6.0", None])
     def test_error_names_the_input(self, power):
         class BrokenSut:
             def measure(self, space, test_input):
@@ -318,18 +320,18 @@ class TestBadMeasurement:
 
 
 def constant_searcher(prediction, passes):
-    """A searcher whose one uniform candidate per pass is predicted at
-    `prediction`; `passes` collects each pass's `stalled` flag."""
+    """`_search`'s three hooks for one uniform candidate per pass, predicted
+    at `prediction`; `passes` collects each pass's `stalled` flag."""
     rng = np.random.default_rng(0)
 
     def propose(executed, stalled):
         passes.append(stalled)
         return 1, sample_uniform(SPACE, executed, 1, rng)
 
-    def predict(candidates):
-        return np.full(len(candidates), prediction)
+    def predict(rows):
+        return np.full(len(rows), prediction)
 
-    return generators._Searcher(propose, predict, lambda suite: None)
+    return propose, predict, lambda dataset: None
 
 
 class TestSearchEnds:
@@ -338,13 +340,13 @@ class TestSearchEnds:
         passes = []
         with pytest.raises(ValueError, match=r"test 10: non-finite prediction"):
             generators._search(SPACE, SUT, SPEC, fast_cfg(), 31,
-                               constant_searcher(prediction, passes))
+                               *constant_searcher(prediction, passes))
         assert passes == [False]
 
     def test_prediction_at_the_threshold_is_accepted(self):
         cfg = fast_cfg(budget=12)
         suite = generators._search(SPACE, SUT, SPEC, cfg, 33,
-                                   constant_searcher(cfg.treducer, []))
+                                   *constant_searcher(cfg.treducer, []))
         assert [r.inner_iterations for r in suite.records[cfg.warmup:]] == [1, 1]
 
     @pytest.mark.parametrize("prediction", [0.0, -1.0])
@@ -353,7 +355,7 @@ class TestSearchEnds:
         # test runs to the stall guard and is accepted on the pass after it
         cfg = fast_cfg(budget=16, fallback_after=25)
         suite = generators._search(SPACE, SUT, SPEC, cfg, 32,
-                                   constant_searcher(prediction, []))
+                                   *constant_searcher(prediction, []))
         assert_valid_suite(suite, cfg, SPACE)
         for r in suite.records[cfg.warmup:]:
             assert r.inner_iterations == cfg.fallback_after + 1
@@ -379,6 +381,17 @@ class TestWarmupSharing:
         ]
         inputs = [[r.input for r in s.records] for s in suites]
         assert inputs[0] == inputs[1] == inputs[2]
+
+
+class TestBudgetPrefix:
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("run", [run_random, run_dn, run_ogan])
+    def test_smaller_budget_is_a_prefix(self, run, seed):
+        # the budget only ends the loop: warm-up, retrains and every
+        # proposal stream are independent of it
+        full = run(SPACE, SUT, SPEC, fast_cfg(budget=60), seed).records
+        for budget in (10, 11, 25, 47):
+            assert run(SPACE, SUT, SPEC, fast_cfg(budget=budget), seed).records == full[:budget]
 
 
 class TestSuiteStats:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 import typing
 from dataclasses import MISSING, fields, is_dataclass, replace
 
@@ -217,6 +218,19 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="sma_window"):
             load_config(path)
 
+    def test_sma_window_may_equal_budget(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, sma_window=24, runs=1))
+        _, summary = run_experiment(cfg)
+        for algo in summary["algorithms"].values():
+            assert len(algo["sma"]) == 1
+
+    def test_largest_finite_number_loads(self, tmp_path):
+        raw = config_dict()
+        raw["fitness"]["p_m"] = sys.float_info.max
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert load_config(path).fitness.p_m == sys.float_info.max
+
     @pytest.mark.parametrize(
         "where, expected",
         [
@@ -394,6 +408,29 @@ class TestRunExperiment:
         for algo in summary["algorithms"].values():
             # every fitness-1 test lands in the last bin (plus near-misses)
             assert algo["histogram"][-1] >= sum(algo["positive_counts"])
+
+    def test_too_few_run_seeds_rejected(self, tmp_path):
+        cfg = load_config(write_config(tmp_path))
+        with pytest.raises(ValueError, match="run_seeds"):
+            run_experiment(cfg, run_seeds=[123])
+
+    def test_numpy_scalar_measurements_write_the_same_files(self, tmp_path):
+        # a real SutInterface may return np.float64, e.g. np.mean of samples
+        class NumpySut:
+            def measure(self, space, test_input):
+                return np.float64(cfg.sut.measure(space, test_input))
+
+        cfg = load_config(write_config(tmp_path))
+        for name, sut in (("plain", cfg.sut), ("numpy", NumpySut())):
+            results = [
+                harness.RunResult(v.label, seed, harness._RUNNERS[v.kind](
+                    cfg.space, sut, cfg.fitness, v.config, seed))
+                for v in cfg.algorithms for seed in (3, 4)
+            ]
+            emit_outputs(tmp_path / name, results, harness.summarize(cfg, results), cfg)
+        for name in ("tests.csv", "summary.json", "histogram.csv", "sma.csv"):
+            plain = (tmp_path / "plain" / name).read_bytes()
+            assert (tmp_path / "numpy" / name).read_bytes() == plain, name
 
     def test_explicit_run_seeds(self, tmp_path):
         cfg = load_config(write_config(tmp_path, runs=1))

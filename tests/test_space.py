@@ -185,13 +185,13 @@ class TestNormalizeProperties:
     @given(space_and_bad_input())
     def test_out_of_range_index_raises(self, case):
         s, batch = case  # the bad rank is the second entry
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="out of bounds"):
             normalize_batch(s, batch)
 
     @given(space_and_bad_input())
     def test_error_names_the_bad_rank(self, case):
         s, batch = case
-        with pytest.raises(ValueError, match=rf"rank {batch[1]} out of range"):
+        with pytest.raises(ValueError, match=rf"index {batch[1]} is out of bounds"):
             normalize_batch(s, batch)
 
     @given(space_and_ranks())

@@ -154,6 +154,9 @@ class TestFitness:
     def test_capped_above_threshold(self):
         assert fitness(FitnessSpec(p_m=6.0), 9.0) == 1.0
 
+    def test_zero_power_is_a_valid_measurement(self):
+        assert fitness(FitnessSpec(p_m=6.0), 0.0) == 0.0
+
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             fitness(FitnessSpec(), -0.1)
