@@ -189,6 +189,8 @@ def calibrate_gain(
     if kth <= 0:
         raise CalibrationError("space has too little dynamic-power variation")
     calibrated = replace(sut, gain=headroom / kth)
+    if not math.isfinite(calibrated.peak_power(space)):
+        raise CalibrationError(f"gain {calibrated.gain!r} takes the peak power past float range")
     achieved = positive_density(calibrated, space, spec)
     if not 0.5 * target_density <= achieved <= 2.0 * target_density:
         raise CalibrationError(

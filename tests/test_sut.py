@@ -1,5 +1,6 @@
 """Synthetic power model, fitness mapping, oracle and calibration."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -259,6 +260,19 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_gain(SyntheticSut(), space, FitnessSpec(), 0.01)
 
+    @pytest.mark.parametrize(
+        "levels, density",
+        [
+            # the kth term is subnormal: headroom / kth is inf, and inf * 0 is nan
+            pytest.param((0.0, 2.225073858507203e-309), 0.5, id="infinite_gain"),
+            # the gain is finite, but the hottest input's power overflows
+            pytest.param((0.0, 1e-300, 1e10), 0.6, id="infinite_peak"),
+        ],
+    )
+    def test_gain_that_overflows_the_peak_fails(self, levels, density):
+        with pytest.raises(CalibrationError, match="past float range"):
+            calibrate_gain(SyntheticSut(), big_cpus_space(levels), FitnessSpec(), density)
+
     def test_threshold_below_idle_fails(self):
         with pytest.raises(CalibrationError):
             calibrate_gain(
@@ -339,6 +353,8 @@ def reference_gain(sut, space, spec, density):
     if kth <= 0:
         raise CalibrationError("space has too little dynamic-power variation")
     gain = headroom / kth
+    if not math.isfinite(float(dynamic.max()) * gain + sut.p_idle):
+        raise CalibrationError(f"gain {gain!r} takes the peak power past float range")
     achieved = np.count_nonzero(dynamic * gain + sut.p_idle >= spec.p_m) / n
     if not 0.5 * density <= achieved <= 2.0 * density:
         raise CalibrationError(
