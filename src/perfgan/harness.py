@@ -35,7 +35,6 @@ import csv
 import functools
 import json
 import logging
-import math
 import sys
 import time
 import typing
@@ -118,10 +117,10 @@ class ExperimentConfig:
         labels = [v.label for v in self.algorithms]
         if len(set(labels)) != len(labels):
             raise ConfigError("algorithms: labels must be distinct (set 'label')")
-        # the peak bounds every measurement in the space
-        power = self.sut.peak_power(self.space)
-        if not math.isfinite(power):
-            raise ConfigError(f"sut: power at the top level of every dimension is {power!r}")
+        try:
+            self.sut.peak_power(self.space)
+        except ValueError as exc:
+            raise ConfigError(f"sut: {exc}") from exc
 
 
 @dataclass(frozen=True)

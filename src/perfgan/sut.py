@@ -66,8 +66,11 @@ class SyntheticSut:
         return self._power(space, space.physical_values(test_input))
 
     def peak_power(self, space: InputSpace) -> float:
-        """Power at every dimension's top level: the maximum, as no level is negative."""
-        return self._power(space, tuple(d.levels[-1] for d in space.dims))
+        """The maximum power, at every dimension's top level; ValueError unless finite."""
+        power = self._power(space, tuple(d.levels[-1] for d in space.dims))
+        if not math.isfinite(power):
+            raise ValueError(f"power at the top level of every dimension is {power!r}")
+        return power
 
     def power_grid(self, space: InputSpace) -> np.ndarray:
         """Power for every configuration, flat in enumeration order: `measure`
@@ -189,8 +192,7 @@ def calibrate_gain(
     if kth <= 0:
         raise CalibrationError("space has too little dynamic-power variation")
     calibrated = replace(sut, gain=headroom / kth)
-    if not math.isfinite(calibrated.peak_power(space)):
-        raise CalibrationError(f"gain {calibrated.gain!r} takes the peak power past float range")
+    calibrated.peak_power(space)  # ValueError if the gain takes it past float range
     achieved = positive_density(calibrated, space, spec)
     if not 0.5 * target_density <= achieved <= 2.0 * target_density:
         raise CalibrationError(
