@@ -175,8 +175,8 @@ def _search(
         test_input = unrank(space, r)
         power = sut.measure(space, test_input)
         try:
-            # a numpy scalar would reach tests.csv as its repr
-            if not isinstance(power, numbers.Real):
+            # a bool is no measurement; a numpy scalar would reach tests.csv as its repr
+            if isinstance(power, bool) or not isinstance(power, numbers.Real):
                 raise ValueError(f"power must be a real number, got {power!r}")
             power = float(power)
             fit = fitness(spec, power)

@@ -13,11 +13,11 @@ One forward kernel (`forward_trace`) and one backward kernel
 (`_backward`) write into the arrays they are given.  The public calls
 (`forward`, `forward_trace`, `backward` and `Trace.backward`) hand them
 fresh arrays.  A trace keeps one array per layer, the activation taken
-in place over the affine result, and backward spends the trace and its
-upstream gradient: each layer's local derivative is written over its
-output activation, and its dL/dz over the gradient it receives.  A
-training call owns a copy of its network, cache included
-(`TrainingCopy`), made on entry and updated in place, and one
+in place over the affine result, and backward spends the trace, not its
+upstream gradient: each layer's local derivative, then its dL/dz, is
+written over its output activation, so one buffer holds all of a pass's
+input gradients.  A training call owns a copy of its network, cache
+included (`TrainingCopy`), made on entry and updated in place, and one
 `StepArrays` set per network and batch size, so a step allocates
 nothing.  It computes only what it reads: parameter gradients of the
 trained network (`TrainingCopy.backward`), the input gradient of a
@@ -156,9 +156,9 @@ def _check_inputs(state: NetworkState, inputs: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Trace:
     """One forward pass; activations[0] is the input and activations[l + 1]
-    the output of layer l.  `backward` copies the activations and the
+    the output of layer l.  `backward` copies the activations, reads the
     output gradient and writes into fresh arrays, so it mutates nothing
-    and its results never alias one another."""
+    and its results alias neither one another nor its arguments."""
 
     state: NetworkState
     activations: list[np.ndarray]
@@ -170,7 +170,7 @@ class Trace:
     def backward(self, output_grad: np.ndarray) -> Gradients:
         """Backpropagate an upstream dL/d(output); feeding one network's
         input gradient in here trains an upstream network through it."""
-        grad = np.array(output_grad, dtype=np.float64)
+        grad = np.asarray(output_grad, dtype=np.float64)
         if grad.shape != self.output.shape:
             raise ValueError(f"output_grad must be {self.output.shape}, got {grad.shape}")
         weight_grads = [np.empty_like(w) for w in self.state.weights]
@@ -188,10 +188,11 @@ def _new_trace(state: NetworkState, inputs: np.ndarray) -> Trace:
 
 
 def _input_grads(state: NetworkState, rows: int, relays: bool) -> list:
-    """Fresh dL/d(input) arrays per layer of `state` at `rows` rows for a
-    backward pass, layer 0's None unless the pass `relays` it."""
-    return [np.empty((rows, len(w))) if l or relays else None
-            for l, w in enumerate(state.weights)]
+    """dL/d(input) arrays per layer of `state` at `rows` rows, layer 0's None
+    unless the pass `relays` it: views of one fresh buffer (see `_backward`)."""
+    fans = [len(w) if l or relays else 0 for l, w in enumerate(state.weights)]
+    buffer = np.empty(rows * max(fans))
+    return [buffer[: rows * fan].reshape(rows, fan) if fan else None for fan in fans]
 
 
 def forward_trace(state: NetworkState, inputs: np.ndarray, out: Trace | None = None) -> Trace:
@@ -233,29 +234,33 @@ def _mse_grad(output, targets, grad: np.ndarray, sq: np.ndarray | None):
 def _backward(trace: Trace, grad, param_grads, input_grads):
     """Reverse layer loop over `trace`, into the given arrays.
 
-    Spends `trace` and `grad`, dL/d(output): layer l's local derivative
-    is written over its output activation, which no later iteration
-    reads, and its dL/dz over the gradient it receives.  `param_grads`
-    is (weight_grads, bias_grads), or None to skip them; `input_grads[0]`
-    None skips layer 0's input gradient, which only a frozen network
-    relays.  Returns the last input gradient computed."""
+    Spends `trace`, not `grad`, dL/d(output): layer l's local derivative
+    and then its dL/dz are written over its output activation, which no
+    later iteration reads, so the gradient it receives is dead once read.
+    `param_grads` is (weight_grads, bias_grads), or None to skip them;
+    `input_grads[0]` None skips layer 0's input gradient, which only a
+    frozen network relays.  Returns the last input gradient computed."""
     state, activations = trace.state, trace.activations
     for l in range(len(state.weights) - 1, -1, -1):
-        activation, a = state.topology.layers[l].activation, activations[l + 1]
+        activation, dz = state.topology.layers[l].activation, activations[l + 1]
         if activation == "tanh":
-            # grad * (1 - a*a)
-            np.multiply(a, a, out=a)
-            np.subtract(1.0, a, out=a)
-            grad *= a
+            # (1 - a*a) * grad
+            np.multiply(dz, dz, out=dz)
+            np.subtract(1.0, dz, out=dz)
+            dz *= grad
         elif activation == "relu":
             # a > 0 exactly where z > 0, ±0 and NaN included
-            np.greater(a, 0.0, out=a, casting="unsafe")
-            grad *= a
+            np.greater(dz, 0.0, out=dz, casting="unsafe")
+            dz *= grad
+        else:
+            # a copy, since grad may be the buffer this layer's input
+            # gradient is written into
+            np.copyto(dz, grad)
         if param_grads is not None:
-            np.dot(activations[l].T, grad, out=param_grads[0][l])
-            np.add.reduce(grad, axis=0, out=param_grads[1][l])
+            np.dot(activations[l].T, dz, out=param_grads[0][l])
+            np.add.reduce(dz, axis=0, out=param_grads[1][l])
         if input_grads[l] is not None:
-            grad = np.dot(grad, state.weights[l].T, out=input_grads[l])
+            grad = np.dot(dz, state.weights[l].T, out=input_grads[l])
     return grad
 
 
@@ -288,7 +293,7 @@ def backward(state: NetworkState, inputs: np.ndarray, targets: np.ndarray) -> Gr
 class StepArrays:
     """A training call's arrays for one network at one batch size, reused
     by every step: the batch's inputs, the forward trace (which backward
-    spends), the backward pass's input gradients (see `_input_grads`),
+    spends), backward's input gradients (one buffer, see `_input_grads`),
     and the batch's targets, output gradient and squared error."""
 
     def __init__(self, state: NetworkState, rows: int, relays: bool) -> None:
@@ -318,7 +323,7 @@ class TrainingCopy:
 
     def backward(self, arrays: StepArrays, output_grad: np.ndarray) -> None:
         """Gradients through `arrays.trace`, a pass of `state`, into the
-        gradient buffer; spends the trace and `output_grad`.  `update` follows."""
+        gradient buffer; spends the trace, not `output_grad`.  `update` follows."""
         _backward(arrays.trace, output_grad, self.grad_views, arrays.input_grads)
 
     def update(self) -> None:

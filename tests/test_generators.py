@@ -295,7 +295,7 @@ class TestSearchBookkeeping:
 
 
 class TestBadMeasurement:
-    @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf, -1.0, "6.0", None])
+    @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf, -1.0, "6.0", None, True])
     def test_error_names_the_input(self, power):
         class BrokenSut:
             def measure(self, space, test_input):

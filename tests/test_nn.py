@@ -288,6 +288,18 @@ class TestBackward:
             for b in arrays(second) + [output_grad] + trace.activations:
                 assert not np.shares_memory(a, b)
 
+    def test_one_input_gradient_buffer_per_pass(self):
+        # a training pass has no input gradient for layer 0, a relaying
+        # one does, and each pass's input gradients are views of one
+        # buffer of rows x the widest fan-in they need
+        net = make_net(50, [(4, "tanh"), (3, "tanh"), (1, "relu")], seed=17)
+        trained, relaying = nn.StepArrays(net, 7, False), nn.StepArrays(net, 7, True)
+        assert trained.input_grads[0] is None
+        assert [g.shape for g in trained.input_grads[1:]] == [(7, 4), (7, 3)]
+        assert [g.shape for g in relaying.input_grads] == [(7, 50), (7, 4), (7, 3)]
+        for grads, size in ((trained.input_grads[1:], 7 * 4), (relaying.input_grads, 7 * 50)):
+            assert all(g.base is grads[0].base and g.base.size == size for g in grads)
+
     def test_from_output_grad_shape_contract(self):
         net = make_net(3, [(2, "tanh")], seed=9)
         with pytest.raises(ValueError):
