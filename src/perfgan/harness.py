@@ -17,13 +17,16 @@ plot-ready outputs:
 `run_experiment` returns `(results, summary)`: `summary` is the
 summary.json document, which `emit_outputs` writes as is.
 
-The config dataclasses are the JSON schema: `sut`, `fitness`, each
-algorithm and its `gan` build their dataclass by field name and type,
-and an unknown key anywhere is a ConfigError.  ExperimentConfig checks
-itself, so `parse_config`, `dataclasses.replace` (the CLI overrides)
-and library callers pass one check.  A `sut.target_density` becomes the
-gain at load, so summary.json's config echo loads back into an equal
-config.  The output directory is an argument of `emit_outputs`.
+The config dataclasses are the JSON schema: one walker, `_section`,
+reads the document as the fields of ExperimentConfig by name and type,
+down through each space entry (a Dimension), `sut`, `fitness`, each
+algorithm and its `gan`.  At each level an unknown key is the first
+ConfigError, then a missing field that has no default, then the values
+in key order.  ExperimentConfig checks itself, so `parse_config`,
+`dataclasses.replace` (the CLI overrides) and library callers pass one
+check.  A `sut.target_density` becomes the gain at load, so
+summary.json's config echo loads back into an equal config.  The output
+directory is an argument of `emit_outputs`.
 
 Everything downstream of the master seed is deterministic, so repeated
 invocations produce byte-identical files.
@@ -38,7 +41,7 @@ import logging
 import sys
 import time
 import typing
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -89,14 +92,16 @@ class ExperimentConfig:
 
     space: InputSpace
     sut: SyntheticSut
-    fitness: FitnessSpec
     algorithms: list[AlgorithmVariant]
+    fitness: FitnessSpec = FitnessSpec()
     runs: int = 10
     master_seed: int = 0
     sma_window: int = 10
     histogram_bins: int = 10
 
     def __post_init__(self) -> None:
+        if not self.algorithms:
+            raise ConfigError("algorithms: expected a nonempty array")
         for name in ("runs", "sma_window", "histogram_bins"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1")
@@ -158,9 +163,9 @@ def histogram(values: list[float], bins: int) -> list[int]:
 # config loading
 
 
-def _require(mapping: dict, key: str, path: str) -> Any:
+def _require(mapping: dict, key: str, prefix: str) -> Any:
     if key not in mapping:
-        raise ConfigError(f"{path}.{key}: missing required field")
+        raise ConfigError(f"{prefix}{key}: missing required field")
     return mapping[key]
 
 
@@ -179,20 +184,11 @@ def _as_int(value: Any, path: str) -> int:
     return value
 
 
-_CONVERTERS = {int: _as_int, float: _as_number}
-
-
 @functools.cache
 def _field_types(cls: type) -> dict[str, type]:
     """Field name -> type of a config dataclass."""
     hints = typing.get_type_hints(cls)
     return {f.name: hints[f.name] for f in fields(cls)}
-
-
-def _reject_unknown(raw: dict, known: Iterable[str], prefix: str) -> None:
-    unknown = set(raw) - set(known)
-    if unknown:
-        raise ConfigError(f"{prefix}{sorted(unknown)[0]}: unknown field")
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
@@ -205,66 +201,72 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
-def _scalar_fields() -> list[str]:
-    """The top-level keys besides the sections: ExperimentConfig's int fields."""
-    return [name for name, tp in _field_types(ExperimentConfig).items() if tp is int]
-
-
 def _section(cls: type, raw: Any, path: str, extra: tuple[str, ...] = ()) -> Any:
-    """Build config dataclass `cls` from its JSON object.
-
-    Each field given in `raw` is converted by its type: int, float or a
-    nested config dataclass.  Keys in `extra` are left to the caller;
-    any other key is an error, as is a value the constructor rejects.
-    """
+    """Build config dataclass `cls` from its JSON object at `path` ("" at
+    the top level).  Faults, first found first: a key neither a field nor
+    in `extra` (left to the caller), a missing field with no default, a
+    value in key order (by its type's `_CONVERTERS` entry, or as a nested
+    config dataclass), and last a value the constructor rejects."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected an object")
-    types = _field_types(cls)
-    _reject_unknown(raw, [*types, *extra], f"{path}.")
+        raise ConfigError(f"{path or 'top level'}: expected an object")
+    types, prefix = _field_types(cls), f"{path}." if path else ""
+    unknown = sorted(set(raw) - {*types, *extra})
+    if unknown:
+        raise ConfigError(f"{prefix}{unknown[0]}: unknown field")
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING:
+            _require(raw, f.name, prefix)
     kwargs = {}
     for key, value in raw.items():
         if key in types:
-            tp, sub = types[key], f"{path}.{key}"
-            if is_dataclass(tp):
-                kwargs[key] = _section(tp, value, sub)
-            else:
-                kwargs[key] = _CONVERTERS[tp](value, sub)
+            convert = _CONVERTERS.get(types[key]) or functools.partial(_section, types[key])
+            kwargs[key] = convert(value, prefix + key)
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _load_space(raw: Any) -> InputSpace:
-    if not isinstance(raw, list) or len(raw) != NUM_DIMENSIONS:
-        raise ConfigError(f"space: expected an array of {NUM_DIMENSIONS} dimensions")
+def _as_levels(value: Any, path: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a nonempty array")
+    return tuple(_as_number(v, path) for v in value)
+
+
+def _as_space(value: Any, path: str) -> InputSpace:
+    if not isinstance(value, list) or len(value) != NUM_DIMENSIONS:
+        raise ConfigError(f"{path}: expected an array of {NUM_DIMENSIONS} dimensions")
     dims = []
-    for j, entry in enumerate(raw):
-        path = f"space[{j}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: expected an object")
-        _reject_unknown(entry, ("name", "levels"), f"{path}.")
-        name = _require(entry, "name", path)
-        if name != DIMENSION_ROLES[j]:
-            raise ConfigError(f"{path}.name: expected {DIMENSION_ROLES[j]!r}, got {name!r}")
-        levels = _require(entry, "levels", path)
-        if not isinstance(levels, list) or not levels:
-            raise ConfigError(f"{path}.levels: expected a nonempty array")
-        try:
-            dims.append(
-                Dimension(name, tuple(_as_number(v, f"{path}.levels") for v in levels))
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}.levels: {exc}") from exc
+    for j, (entry, role) in enumerate(zip(value, DIMENSION_ROLES)):
+        dims.append(_section(Dimension, entry, f"{path}[{j}]"))
+        if dims[-1].name != role:
+            raise ConfigError(f"{path}[{j}].name: expected {role!r}, got {dims[-1].name!r}")
     return InputSpace(dims=tuple(dims))
 
 
-def _load_algorithm(raw: Any, index: int) -> AlgorithmVariant:
-    path = f"algorithms[{index}]"
-    config = _section(AlgorithmConfig, raw, path, extra=("kind", "label"))
-    kind = _require(raw, "kind", path)
-    label = raw.get("label", kind if kind != "dn" else f"dn_bs{config.batchsize}")
-    return AlgorithmVariant(label=label, kind=kind, config=config)
+def _as_variants(value: Any, path: str) -> list[AlgorithmVariant]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a nonempty array")
+    variants = []
+    for i, entry in enumerate(value):
+        sub = f"{path}[{i}]"
+        config = _section(AlgorithmConfig, entry, sub, extra=("kind", "label"))
+        kind = _require(entry, "kind", f"{sub}.")
+        label = entry.get("label", kind if kind != "dn" else f"dn_bs{config.batchsize}")
+        variants.append(AlgorithmVariant(label=label, kind=kind, config=config))
+    return variants
+
+
+# leaf converters by field type; any other field type is a nested section
+_CONVERTERS = {
+    int: _as_int,
+    float: _as_number,
+    str: lambda value, path: value,  # a space entry's name: `_as_space` checks it
+    tuple[float, ...]: _as_levels,
+    InputSpace: _as_space,
+    list[AlgorithmVariant]: _as_variants,
+    SyntheticSut: functools.partial(_section, SyntheticSut, extra=("target_density",)),
+}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -275,33 +277,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: expected an object")
     return parse_config(raw)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    space = _load_space(_require(raw, "space", "top level"))
-    sut_raw = _require(raw, "sut", "top level")
-    sut = _section(SyntheticSut, sut_raw, "sut", extra=("target_density",))
-    fitness = _section(FitnessSpec, raw.get("fitness", {}), "fitness")
-    algorithms_raw = _require(raw, "algorithms", "top level")
-    if not isinstance(algorithms_raw, list) or not algorithms_raw:
-        raise ConfigError("algorithms: expected a nonempty array")
-    algorithms = [_load_algorithm(entry, i) for i, entry in enumerate(algorithms_raw)]
-    kwargs: dict[str, Any] = dict(space=space, sut=sut, fitness=fitness, algorithms=algorithms)
-    _reject_unknown(raw, [*kwargs, *_scalar_fields()], "")
-    for key, value in raw.items():
-        if key in _scalar_fields():
-            kwargs[key] = _as_int(value, key)
-    cfg = ExperimentConfig(**kwargs)
+    """Build the ExperimentConfig of a JSON document's top-level object;
+    a `sut.target_density` is calibrated into the gain."""
+    cfg = _section(ExperimentConfig, raw, "")
+    sut_raw = raw["sut"]
     if "target_density" not in sut_raw:
         return cfg
     if "gain" in sut_raw:
         raise ConfigError("sut.target_density: give either gain or target_density")
     density = _as_number(sut_raw["target_density"], "sut.target_density")
     try:
-        sut = calibrate_gain(sut, space, fitness, density)
+        sut = calibrate_gain(cfg.sut, cfg.space, cfg.fitness, density)
     except (ValueError, CalibrationError) as exc:
         raise ConfigError(f"sut.target_density: {exc}") from exc
     return replace(cfg, sut=sut)
@@ -391,19 +381,15 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     # a config parse_config loads back into an equal cfg; a calibrated
     # sut is echoed by its gain.  The output directory and wall-clock data
     # stay out: two invocations with the same master seed must produce
-    # byte-identical files.  Levels are listed because asdict keeps
-    # tuples, and the echo must equal its own JSON round trip.
+    # byte-identical files.  The space and the variants are rewritten in
+    # their JSON form: asdict keeps tuples, and the echo must equal its
+    # own JSON round trip.
     return {
-        "space": [
-            {"name": d.name, "levels": list(d.levels)} for d in cfg.space.dims
-        ],
-        "sut": asdict(cfg.sut),
-        "fitness": asdict(cfg.fitness),
+        **asdict(cfg),
+        "space": [{"name": d.name, "levels": list(d.levels)} for d in cfg.space.dims],
         "algorithms": [
-            {"label": v.label, "kind": v.kind, **asdict(v.config)}
-            for v in cfg.algorithms
+            {"label": v.label, "kind": v.kind, **asdict(v.config)} for v in cfg.algorithms
         ],
-        **{name: getattr(cfg, name) for name in _scalar_fields()},
     }
 
 

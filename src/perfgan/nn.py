@@ -156,7 +156,7 @@ def _check_inputs(state: NetworkState, inputs: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Trace:
     """One forward pass; activations[0] is the input and activations[l + 1]
-    the output of layer l.  `backward` copies the activations, reads the
+    the output of layer l.  `backward` copies the layer outputs, reads the
     output gradient and writes into fresh arrays, so it mutates nothing
     and its results alias neither one another nor its arguments."""
 
@@ -175,7 +175,7 @@ class Trace:
             raise ValueError(f"output_grad must be {self.output.shape}, got {grad.shape}")
         weight_grads = [np.empty_like(w) for w in self.state.weights]
         bias_grads = [np.empty_like(b) for b in self.state.biases]
-        spent = Trace(self.state, [a.copy() for a in self.activations])
+        spent = Trace(self.state, self.activations[:1] + [*map(np.copy, self.activations[1:])])
         input_grad = _backward(spent, grad, (weight_grads, bias_grads),
                                _input_grads(self.state, len(grad), True))
         return Gradients(weight_grads, bias_grads, input_grad)

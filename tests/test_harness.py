@@ -8,6 +8,8 @@ from dataclasses import MISSING, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import perfgan
 from perfgan import generators, harness
@@ -15,7 +17,9 @@ from perfgan.gan import GanHyperparams
 from perfgan.generators import AlgorithmConfig
 from perfgan.harness import (
     ALGORITHM_KINDS,
+    AlgorithmVariant,
     ConfigError,
+    ExperimentConfig,
     emit_outputs,
     histogram,
     load_config,
@@ -24,6 +28,7 @@ from perfgan.harness import (
     sma,
 )
 from perfgan.rng import derive_run_seed
+from perfgan.space import DIMENSION_ROLES, Dimension
 from perfgan.sut import FitnessSpec, SyntheticSut, calibrate_gain
 
 
@@ -135,6 +140,25 @@ NUMBER_FIELDS = {
     "space[1].levels": (lambda raw: raw["space"][1]["levels"], 0),
     "fitness.p_m": (lambda raw: raw["fitness"], "p_m"),
 }
+
+
+def _containers(node):
+    """`node` and every object and array inside it, outermost first."""
+    found = [node]
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            found += _containers(child)
+    return found
+
+
+# values and keys a one-key change of a config draws from
+FUZZ_VALUES = [None, True, False, 0, -1, 10**400, 1e308, -1e308, float("nan"),
+               float("inf"), float("-inf"), *DIMENSION_ROLES, *ALGORITHM_KINDS, [], [0, 1], {}]
+FUZZ_KEYS = ["bogus", "target_density"] + [
+    f.name
+    for cls in (ExperimentConfig, Dimension, AlgorithmVariant, *(c for c, _, _ in SECTIONS))
+    for f in fields(cls)
+]
 
 
 class TestConfigLoading:
@@ -278,7 +302,8 @@ class TestConfigLoading:
     @pytest.mark.parametrize(
         "key, value",
         [("runs", 0), ("sma_window", 0), ("histogram_bins", 0), ("master_seed", -1),
-         ("algorithms[0].kind", "annealing"), ("algorithms[0].label", None)],
+         ("algorithms", []), ("algorithms[0].kind", "annealing"),
+         ("algorithms[0].label", None)],
     )
     def test_replace_is_validated(self, tmp_path, key, value):
         cfg = load_config(write_config(tmp_path))
@@ -289,6 +314,54 @@ class TestConfigLoading:
             changes = {"algorithms": [variant, *cfg.algorithms[1:]]}
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
             replace(cfg, **changes)
+
+    @pytest.mark.parametrize(
+        "path, container, key",
+        [
+            pytest.param(path, container, path.rpartition(".")[2], id=path)
+            for path, container in [
+                ("space[2].name", lambda raw: raw["space"][2]),
+                ("space[4].levels", lambda raw: raw["space"][4]),
+                ("space", lambda raw: raw),
+                ("sut", lambda raw: raw),
+                ("algorithms", lambda raw: raw),
+                ("algorithms[1].kind", lambda raw: raw["algorithms"][1]),
+            ]
+        ],
+    )
+    def test_missing_required_field(self, path, container, key):
+        raw = config_dict()
+        del container(raw)[key]
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: missing required field$"):
+            parse_config(raw)
+
+    def test_fitness_may_be_omitted(self):
+        raw = config_dict()
+        del raw["fitness"]
+        assert parse_config(raw).fitness == FitnessSpec()
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_any_one_key_changed_loads_or_is_a_config_error(self, data):
+        # warnings are errors (pyproject filterwarnings), so a loader that
+        # only warns on a value fails here too
+        raw = config_dict()
+        container = data.draw(st.sampled_from(_containers(raw)))
+        keys = list(container) if isinstance(container, dict) else range(len(container))
+        op = data.draw(st.sampled_from(["replace", "delete", "add"] if keys else ["add"]))
+        value = data.draw(st.sampled_from(FUZZ_VALUES))
+        if op == "add" and isinstance(container, dict):
+            container[data.draw(st.sampled_from(FUZZ_KEYS))] = value
+        elif op == "add":
+            container.append(value)
+        elif op == "delete":
+            del container[data.draw(st.sampled_from(keys))]
+        else:
+            container[data.draw(st.sampled_from(keys))] = value
+        try:
+            assert isinstance(parse_config(raw), ExperimentConfig)
+        except ConfigError:
+            pass
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["Infinity", "NaN"])
     @pytest.mark.parametrize("field", NUMBER_FIELDS)
