@@ -10,16 +10,16 @@ power meets it; fitness compresses power onto [0, 1] as min(1, power/p_m).
 The space is exhaustively enumerable, so the exact positive set comes
 from a brute-force oracle whose grid is `measure` at every input, bit
 for bit, and `gain` can be calibrated to a requested positive fraction.
-Before gain the model is an outer sum of two cluster terms; counting,
-the positive set and calibration walk it block by block in rank order
-and never build the grid, which `power_grid` still returns.
+Before gain the model is an outer sum of big- and little-cluster terms
+and power is monotone in it: the oracle count and calibration count
+suffixes of the sorted little terms and never build the grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -74,11 +74,9 @@ class SyntheticSut:
 
     def power_grid(self, space: InputSpace) -> np.ndarray:
         """Power for every configuration, flat in enumeration order: `measure`
-        at every input, bit for bit, filled block by block."""
-        grid = np.empty(cardinality(space))
-        for start, block in self._dynamic_blocks(space):
-            grid[start : start + block.size] = self._scale(block)
-        return grid
+        at every input, bit for bit."""
+        big, little = self._terms(space)
+        return self._scale(np.add.outer(big, little).reshape(-1))
 
     def _power(self, space: InputSpace, values: tuple[float, ...]) -> float:
         n_b, f_b, u_b, n_l, f_l, u_l = values
@@ -88,17 +86,15 @@ class SyntheticSut:
             _cluster(self.kappa_big, n_b, c_b, u_b) + _cluster(self.kappa_little, n_l, c_l, u_l)
         )
 
-    def _dynamic_blocks(self, space: InputSpace) -> Iterator[tuple[int, np.ndarray]]:
-        """(first rank, new flat block) pairs of the power model before gain, in
-        rank order: one block per (big_cpus, big_freq) pair, that pair's
-        big-cluster terms plus every little-cluster term, summed as `_power` sums."""
+    def _terms(self, space: InputSpace) -> tuple[np.ndarray, np.ndarray]:
+        """The big- and little-cluster terms before gain, flat in rank order: the input
+        of rank i * little.size + j has big[i] + little[j], summed as `_power` sums."""
         n_b, f_b, u_b, n_l, f_l, u_l = (d.levels for d in space.dims)
         c_b = [_freq_ratio_cubed(f, f_b[-1]) for f in f_b]
         c_l = [_freq_ratio_cubed(f, f_l[-1]) for f in f_l]
-        big = _cluster(self.kappa_big, *np.ix_(n_b, c_b, u_b)).reshape(-1, len(u_b), 1)
+        big = _cluster(self.kappa_big, *np.ix_(n_b, c_b, u_b)).reshape(-1)
         little = _cluster(self.kappa_little, *np.ix_(n_l, c_l, u_l)).reshape(-1)
-        for i, terms in enumerate(big):
-            yield i * terms.size * little.size, (terms + little).reshape(-1)
+        return big, little
 
     def _scale(self, dynamic):
         """gain * dynamic + p_idle: a float, or an array scaled in place."""
@@ -127,24 +123,31 @@ def fitness(spec: FitnessSpec, power: float) -> float:
     return min(1.0, power / spec.p_m)
 
 
+def _count(big: np.ndarray, little: np.ndarray, meets, guess: float) -> int:
+    """Pairs (i, j) whose rounded sum big[i] + little[j] `meets`, a monotone predicate:
+    with `little` sorted, each big term's hits are a suffix, found by steps from guess - big."""
+    little = little[: np.searchsorted(little, np.nan)]  # a nan sum meets nothing
+    k = np.searchsorted(little, guess - big)
+    while (step := (k > 0) & meets(big + little[k - 1])).any():
+        k -= step
+    while (step := (k < little.size) & ~meets(big + little.take(k, mode="clip"))).any():
+        k += step
+    return int(big.size * little.size - k.sum())
+
+
 def oracle_positive_set(
     sut: SyntheticSut, space: InputSpace, spec: FitnessSpec
 ) -> set[TestInput]:
     """Exact positive set {i : power(i) >= p_m} by exhaustive evaluation."""
-    positives: set[TestInput] = set()
-    for start, block in sut._dynamic_blocks(space):
-        ranks = np.flatnonzero(sut._scale(block) >= spec.p_m) + start
-        indices = np.unravel_index(ranks, space.level_counts)
-        positives.update(zip(*(idx.tolist() for idx in indices)))
-    return positives
+    ranks = np.flatnonzero(sut.power_grid(space) >= spec.p_m)
+    return set(zip(*(idx.tolist() for idx in np.unravel_index(ranks, space.level_counts))))
 
 
 def oracle_positive_count(sut: SyntheticSut, space: InputSpace, spec: FitnessSpec) -> int:
     """Number of configurations whose power meets the threshold."""
-    return sum(
-        int(np.count_nonzero(sut._scale(block) >= spec.p_m))
-        for _, block in sut._dynamic_blocks(space)
-    )
+    big, little = sut._terms(space)
+    guess = (spec.p_m - sut.p_idle) / sut.gain
+    return _count(big, np.sort(little), lambda dynamic: sut._scale(dynamic) >= spec.p_m, guess)
 
 
 def positive_density(sut: SyntheticSut, space: InputSpace, spec: FitnessSpec) -> float:
@@ -172,23 +175,21 @@ def calibrate_gain(
     headroom = spec.p_m - sut.p_idle
     if headroom <= 0:
         raise CalibrationError(f"threshold {spec.p_m} not above idle power {sut.p_idle}")
-    n = cardinality(space)
-    want = max(1, round(target_density * n))
-    # the want-th largest term is minus the (n - want + 1)-th largest of the
-    # negated terms: select on the side that keeps fewer
-    keep, sign = (want, 1.0) if 2 * want <= n else (n - want + 1, -1.0)
-    # the keep largest signed terms so far, smallest first once there are
-    # keep; a term no larger than that smallest cannot change it
-    top = np.empty(0)
-    for _, block in sut._dynamic_blocks(space):
-        block *= sign
-        if top.size == keep:
-            block = block[block > top[0]]
-        top = np.concatenate((top, block))
-        if top.size >= keep:
-            top.partition(top.size - keep)
-            top = top[top.size - keep :]
-    kth = sign * float(top[0])
+    want = max(1, round(target_density * cardinality(space)))
+    big, little = sut._terms(space)
+    little.sort()
+    # kth, the want-th largest dynamic term, is the largest v that at least
+    # want terms meet: bisect over the bit patterns of non-negative doubles,
+    # which sort as their values do
+    lo, hi = 0, int(np.float64(big[-1] + little[-1]).view(np.int64)) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        v = float(np.int64(mid).view(np.float64))
+        if _count(big, little, lambda dynamic: dynamic >= v, v) >= want:
+            lo = mid
+        else:
+            hi = mid
+    kth = float(np.int64(lo).view(np.float64))
     if kth <= 0:
         raise CalibrationError("space has too little dynamic-power variation")
     calibrated = replace(sut, gain=headroom / kth)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perfgan.space import (
@@ -114,11 +114,11 @@ class TestMeasure:
         "call, grids",
         [
             pytest.param(
-                lambda sut, space: calibrate_gain(sut, space, FitnessSpec(), 0.01), 0.1,
+                lambda sut, space: calibrate_gain(sut, space, FitnessSpec(), 0.01), 0.02,
                 id="calibrate_gain",
             ),
             pytest.param(
-                lambda sut, space: oracle_positive_count(sut, space, FitnessSpec()), 0.1,
+                lambda sut, space: oracle_positive_count(sut, space, FitnessSpec()), 0.02,
                 id="oracle_positive_count",
             ),
             pytest.param(lambda sut, space: sut.power_grid(space), 1.5, id="power_grid"),
@@ -127,7 +127,7 @@ class TestMeasure:
     def test_builds_one_full_grid(self, call, grids):
         # peak traced memory, in multiples of one float64 grid of the space:
         # only power_grid holds a grid, its result; counting and calibration
-        # walk the outer sum one block at a time
+        # hold the cluster terms and one value per big-cluster term
         sut, space = SyntheticSut(), default_space()
         call(sut, space)  # warm caches outside the measurement
         tracemalloc.start()
@@ -187,6 +187,25 @@ class TestOracle:
         space = toy_space()
         got = oracle_positive_set(sut, space, FitnessSpec(p_m=6.0))
         assert got == {(1, 0, 0, 0, 0, 0), (1, 0, 0, 1, 0, 0)}
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_count_leaves_out_nan_powers(self):
+        # an overflowed little-cluster term times a zero frequency ratio is
+        # nan, which meets no threshold, and sorting puts it after every
+        # other term, inside each big term's suffix
+        space = InputSpace(
+            dims=toy_space().dims[:3]
+            + (
+                Dimension("little_cpus", (1.0, 1e200)),
+                Dimension("little_freq", (0.0, 800.0)),
+                Dimension("little_util", (0.5, 1e200)),
+            )
+        )
+        sut, spec = SyntheticSut(gain=1.0), FitnessSpec(p_m=1.0)
+        grid = sut.power_grid(space)
+        assert np.isnan(grid).any()
+        assert oracle_positive_count(sut, space, spec) == np.count_nonzero(grid >= spec.p_m)
 
     def test_fitness_one_iff_in_positive_set(self):
         sut = SyntheticSut(gain=2.0)
@@ -386,7 +405,67 @@ class TestBlockWalkIsExact:
 
     @settings(deadline=None)
     @given(power_case())
+    # one input whose power, at the calibrated gain, rounds just below p_m:
+    # only the count's forward steps find that nothing is positive
+    @example(
+        (
+            SyntheticSut(p_idle=3.49, kappa_big=3.3, kappa_little=2.46, gain=1.88),
+            InputSpace(
+                dims=tuple(
+                    Dimension(role, (level,))
+                    for role, level in zip(
+                        DIMENSION_ROLES, (8.0, 3.534, 6.863, 6.625, 1.125, 7.875)
+                    )
+                )
+            ),
+            FitnessSpec(p_m=27.37),
+            0.5,
+        )
+    )
     def test_calibration_matches_one_full_grid(self, case):
         sut, space, spec, density = case
+        got = outcome(lambda *a: calibrate_gain(*a).gain, sut, space, spec, density)
+        assert got == outcome(reference_gain, sut, space, spec, density)
+
+    @pytest.mark.parametrize("density", [0.01, 0.1, 0.5])
+    def test_calibration_on_the_default_space(self, density):
+        # 665,000 sums, where hypothesis's spaces hold at most 4**6
+        sut, space, spec = SyntheticSut(), default_space(), FitnessSpec()
+        got = calibrate_gain(sut, space, spec, density).gain
+        assert got == reference_gain(sut, space, spec, density)
+
+
+def tie_heavy_space():
+    """One big term of 2**53, where doubles lie 2 apart, and little terms k/4:
+    four or more little terms round onto each sum, so the suffix starts that
+    the count guesses sit in runs of ties."""
+    return InputSpace(
+        dims=(
+            Dimension("big_cpus", (2.0**53,)),
+            Dimension("big_freq", (1000.0,)),
+            Dimension("big_util", (1.0,)),
+            Dimension("little_cpus", tuple(k / 4 for k in range(64))),
+            Dimension("little_freq", (800.0,)),
+            Dimension("little_util", (1.0,)),
+        )
+    )
+
+
+class TestTieHeavySpace:
+    # p_m - p_idle rounds up at 0.5, down at 1.5 and to even at 1.0, so the
+    # count's guessed starts land on both sides of the exact ones
+    @pytest.mark.parametrize("p_idle", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("above", [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 7.75, 15.0, 16.0, 17.0])
+    def test_count_matches_one_full_grid(self, p_idle, above):
+        sut, space = SyntheticSut(p_idle=p_idle, kappa_little=1.0), tie_heavy_space()
+        spec = FitnessSpec(p_m=2.0**53 + above)
+        grid = reference_dynamic_grid(sut, space) * sut.gain + sut.p_idle
+        assert oracle_positive_count(sut, space, spec) == np.count_nonzero(grid >= spec.p_m)
+
+    @pytest.mark.parametrize("p_idle", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("density", [1 / 64, 0.1, 0.25, 0.5, 0.9])
+    def test_calibration_matches_one_full_grid(self, p_idle, density):
+        sut, space = SyntheticSut(p_idle=p_idle, kappa_little=1.0), tie_heavy_space()
+        spec = FitnessSpec(p_m=2.0**54)
         got = outcome(lambda *a: calibrate_gain(*a).gain, sut, space, spec, density)
         assert got == outcome(reference_gain, sut, space, spec, density)
