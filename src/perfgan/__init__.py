@@ -61,7 +61,6 @@ from .space import (
     snap,
 )
 from .sut import (
-    CalibrationError,
     FitnessSpec,
     SutInterface,
     SyntheticSut,

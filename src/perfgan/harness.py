@@ -43,7 +43,7 @@ import time
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -56,13 +56,7 @@ from .generators import (
 )
 from .rng import derive_run_seed
 from .space import DIMENSION_ROLES, NUM_DIMENSIONS, Dimension, InputSpace, cardinality
-from .sut import (
-    CalibrationError,
-    FitnessSpec,
-    SyntheticSut,
-    calibrate_gain,
-    oracle_positive_count,
-)
+from .sut import FitnessSpec, SyntheticSut, calibrate_gain, oracle_positive_count
 
 log = logging.getLogger(__name__)
 
@@ -118,6 +112,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{path}.budget: exceeds space cardinality {total}")
             if self.sma_window > variant.config.budget:
                 raise ConfigError(f"sma_window: exceeds budget of algorithm {variant.label!r}")
+            if self.histogram_bins > variant.config.budget:
+                raise ConfigError(f"histogram_bins: exceeds budget of algorithm {variant.label!r}")
         # after the label checks: a label the JSON gave may be unhashable
         labels = [v.label for v in self.algorithms]
         if len(set(labels)) != len(labels):
@@ -135,28 +131,27 @@ class RunResult:
     suite: TestSuite
 
 
-def sma(series: list[float], window: int) -> list[float]:
+def sma(series: np.ndarray | Sequence[float], window: int) -> list[float]:
     """Simple moving average; element j covers series[j : j+window]."""
     if window < 1:
         raise ValueError("window must be >= 1")
     if window > len(series):
         raise ValueError(f"window {window} exceeds series length {len(series)}")
-    arr = np.asarray(series, dtype=np.float64)
     kernel = np.ones(window) / window
-    return [float(v) for v in np.convolve(arr, kernel, mode="valid")]
+    return np.convolve(np.asarray(series, dtype=np.float64), kernel, mode="valid").tolist()
 
 
-def histogram(values: list[float], bins: int) -> list[int]:
-    """Equal-width counts over [0, 1]; a value of exactly 1 lands in the
-    last bin, so with fitness data that bin counts the positive tests."""
+def histogram(values: np.ndarray | Sequence[float], bins: int) -> list[int]:
+    """Equal-width counts over [0, 1] of every value in `values`, of any
+    shape; a value of exactly 1 lands in the last bin, so with fitness
+    data that bin counts the positive tests."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    counts = [0] * bins
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"value {v} outside [0, 1]")
-        counts[min(int(v * bins), bins - 1)] += 1
-    return counts
+    flat = np.ravel(values)
+    outside = flat[~((flat >= 0.0) & (flat <= 1.0))]
+    if outside.size:
+        raise ValueError(f"value {outside[0]} outside [0, 1]")
+    return np.bincount(np.minimum(flat * bins, bins - 1).astype(np.intp), minlength=bins).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +287,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     density = _as_number(sut_raw["target_density"], "sut.target_density")
     try:
         sut = calibrate_gain(cfg.sut, cfg.space, cfg.fitness, density)
-    except (ValueError, CalibrationError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"sut.target_density: {exc}") from exc
     return replace(cfg, sut=sut)
 
@@ -349,10 +344,9 @@ def summarize(cfg: ExperimentConfig, results: list[RunResult]) -> dict:
     for variant in cfg.algorithms:
         suites = [r.suite for r in results if r.algorithm == variant.label]
         positives = [s.positive_count for s in suites]
-        all_fitness = [rec.fitness for s in suites for rec in s.records]
         post = [rec for s in suites for rec in s.records[variant.config.warmup:]]
-        per_index = np.array([[rec.fitness for rec in s.records] for s in suites])
-        mean_series = per_index.mean(axis=0)
+        # runs x budget: row i is run i's fitness per test index
+        fitness = np.array([[rec.fitness for rec in s.records] for s in suites])
         algorithms[variant.label] = {
             "kind": variant.kind,
             "positive_counts": positives,
@@ -360,15 +354,15 @@ def summarize(cfg: ExperimentConfig, results: list[RunResult]) -> dict:
             "stddev_positive_count": (
                 float(np.std(positives, ddof=1)) if len(positives) > 1 else 0.0
             ),
-            "mean_fitness": float(np.mean(all_fitness)),
+            "mean_fitness": float(fitness.mean()),
             "mean_inner_iterations": (
                 float(np.mean([r.inner_iterations for r in post])) if post else None
             ),
             "mean_candidate_trials": (
                 float(np.mean([r.candidate_trials for r in post])) if post else None
             ),
-            "histogram": histogram(all_fitness, cfg.histogram_bins),
-            "sma": sma([float(v) for v in mean_series], cfg.sma_window),
+            "histogram": histogram(fitness, cfg.histogram_bins),
+            "sma": sma(fitness.mean(axis=0), cfg.sma_window),
         }
     return {"oracle": oracle_facts(cfg), "algorithms": algorithms, "config": _config_echo(cfg)}
 

@@ -22,8 +22,6 @@ import numpy as np
 # A test input is a tuple of six level indices, one per dimension.
 TestInput = tuple[int, ...]
 
-NUM_DIMENSIONS = 6
-
 DIMENSION_ROLES = (
     "big_cpus",
     "big_freq",
@@ -32,6 +30,8 @@ DIMENSION_ROLES = (
     "little_freq",
     "little_util",
 )
+
+NUM_DIMENSIONS = len(DIMENSION_ROLES)
 
 
 @dataclass(frozen=True)

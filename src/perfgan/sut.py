@@ -32,10 +32,6 @@ class SutInterface(Protocol):
     def measure(self, space: InputSpace, test_input: TestInput) -> float: ...
 
 
-class CalibrationError(RuntimeError):
-    """Requested positive density cannot be realized on this space."""
-
-
 @dataclass(frozen=True)
 class FitnessSpec:
     """Power threshold defining a positive test."""
@@ -167,14 +163,16 @@ def calibrate_gain(
     exactly on p_m, where want = round(density * N) with Python's `round`
     (halves go to the even neighbour), and at least 1.  Grid quantization
     (ties between equal dynamic terms) keeps the achieved density
-    approximate; it must land within [0.5x, 2x] of the target or
-    calibration fails.
+    approximate; it must land within [0.5x, 2x] of the target.  Every
+    fault is a ValueError that names it: a density outside (0, 1), a
+    threshold not above idle power, a flat space, a peak power past
+    float range, or an achieved density outside that band.
     """
     if not 0 < target_density < 1:
         raise ValueError("target_density must lie in (0, 1)")
     headroom = spec.p_m - sut.p_idle
     if headroom <= 0:
-        raise CalibrationError(f"threshold {spec.p_m} not above idle power {sut.p_idle}")
+        raise ValueError(f"threshold {spec.p_m} not above idle power {sut.p_idle}")
     want = max(1, round(target_density * cardinality(space)))
     big, little = sut._terms(space)
     little.sort()
@@ -191,12 +189,12 @@ def calibrate_gain(
             hi = mid
     kth = float(np.int64(lo).view(np.float64))
     if kth <= 0:
-        raise CalibrationError("space has too little dynamic-power variation")
+        raise ValueError("space has too little dynamic-power variation")
     calibrated = replace(sut, gain=headroom / kth)
     calibrated.peak_power(space)  # ValueError if the gain takes it past float range
     achieved = positive_density(calibrated, space, spec)
     if not 0.5 * target_density <= achieved <= 2.0 * target_density:
-        raise CalibrationError(
+        raise ValueError(
             f"achieved density {achieved:.5f} outside "
             f"[{0.5 * target_density:.5f}, {2.0 * target_density:.5f}]"
         )

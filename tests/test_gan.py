@@ -69,6 +69,11 @@ def expected_parameter_count(topology):
 
 
 class TestInit:
+    @pytest.mark.parametrize("field", ["disc_epochs", "gen_epochs", "minibatch"])
+    def test_hyperparams_must_be_positive(self, field):
+        with pytest.raises(ValueError, match="^epochs and minibatch must be >= 1$"):
+            GanHyperparams(**{field: 0})
+
     def test_deterministic(self):
         a, b = fresh_gan(3), fresh_gan(3)
         assert nets_equal(a.generator, b.generator)

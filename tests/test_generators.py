@@ -420,6 +420,15 @@ class TestSuiteStats:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("budget, warmup", [(-1, 0), (10, -1)])
+    def test_budget_and_warmup_nonnegative(self, budget, warmup):
+        with pytest.raises(ValueError, match="^budget and warmup must be nonnegative$"):
+            AlgorithmConfig(budget=budget, warmup=warmup)
+
+    def test_fallback_after_positive(self):
+        with pytest.raises(ValueError, match="^fallback_after must be >= 1$"):
+            AlgorithmConfig(fallback_after=0)
+
     def test_warmup_cannot_exceed_budget(self):
         with pytest.raises(ValueError):
             AlgorithmConfig(budget=10, warmup=11)

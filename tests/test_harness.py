@@ -97,6 +97,10 @@ class TestSma:
     def test_constant_series(self):
         assert sma([0.4] * 6, 3) == pytest.approx([0.4] * 4)
 
+    def test_window_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^window must be >= 1$"):
+            sma([1.0, 2.0], 0)
+
     def test_window_larger_than_series_rejected(self):
         with pytest.raises(ValueError):
             sma([1.0, 2.0], 3)
@@ -110,7 +114,23 @@ class TestSma:
         assert all(a <= b for a, b in zip(out, out[1:]))
 
 
+def reference_histogram(values, bins):
+    """The per-value loop that `histogram` vectorises."""
+    counts = [0] * bins
+    for v in values:
+        counts[min(int(v * bins), bins - 1)] += 1
+    return counts
+
+
 class TestHistogram:
+    # multiples of 1/8 land exactly on bin edges
+    @given(
+        st.lists(st.one_of(st.floats(0.0, 1.0), st.integers(0, 8).map(lambda k: k / 8))),
+        st.integers(1, 40),
+    )
+    def test_matches_the_per_value_loop(self, values, bins):
+        assert histogram(values, bins) == reference_histogram(values, bins)
+
     def test_ones_land_in_last_bin(self):
         counts = histogram([1.0, 1.0], 10)
         assert counts[-1] == 2
@@ -125,6 +145,14 @@ class TestHistogram:
     def test_counts_sum(self):
         values = list(np.linspace(0, 1, 101))
         assert sum(histogram(values, 7)) == 101
+
+    def test_bins_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^bins must be >= 1$"):
+            histogram([0.5], 0)
+
+    def test_counts_every_entry_of_a_table(self):
+        # summarize hands over one runs x budget fitness array
+        assert histogram(np.array([[0.0, 0.25], [1.0, 1.0]]), 4) == [1, 1, 0, 2]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -248,6 +276,31 @@ class TestConfigLoading:
         for algo in summary["algorithms"].values():
             assert len(algo["sma"]) == 1
 
+    def test_histogram_bins_must_fit_budget(self, tmp_path):
+        path = write_config(tmp_path, histogram_bins=25)
+        message = "^histogram_bins: exceeds budget of algorithm 'random'$"
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
+    def test_histogram_bins_may_equal_budget(self, tmp_path):
+        assert load_config(write_config(tmp_path, histogram_bins=24)).histogram_bins == 24
+        assert replace(load_config(write_config(tmp_path)), histogram_bins=24).histogram_bins == 24
+
+    def test_budget_may_reach_the_space_cardinality(self, tmp_path):
+        # the 3**6-input space holds 729 inputs
+        path = write_config(tmp_path, algorithms=[{"kind": "random", "budget": 729}])
+        assert load_config(path).algorithms[0].config.budget == 729
+        path = write_config(tmp_path, algorithms=[{"kind": "random", "budget": 730}])
+        message = r"^algorithms\[0\]\.budget: exceeds space cardinality 729$"
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
+    def test_algorithms_must_be_an_array(self):
+        # one variant's object where the list of them belongs
+        raw = config_dict(algorithms={"kind": "random", "budget": 24})
+        with pytest.raises(ConfigError, match="^algorithms: expected a nonempty array$"):
+            parse_config(raw)
+
     def test_largest_finite_number_loads(self, tmp_path):
         raw = config_dict()
         raw["fitness"]["p_m"] = sys.float_info.max
@@ -303,7 +356,7 @@ class TestConfigLoading:
         "key, value",
         [("runs", 0), ("sma_window", 0), ("histogram_bins", 0), ("master_seed", -1),
          ("algorithms", []), ("algorithms[0].kind", "annealing"),
-         ("algorithms[0].label", None)],
+         ("algorithms[0].label", None), ("sma_window", 25), ("histogram_bins", 25)],
     )
     def test_replace_is_validated(self, tmp_path, key, value):
         cfg = load_config(write_config(tmp_path))
@@ -402,7 +455,9 @@ class TestSummarize:
         # positives 1 and 3: sqrt(((1 - 2)^2 + (3 - 2)^2) / (2 - 1)) = sqrt(2),
         # where the population deviation would read 1
         algorithms = [{"kind": "random", "budget": 4, "warmup": 4}]
-        cfg = load_config(write_config(tmp_path, algorithms=algorithms, sma_window=2))
+        cfg = load_config(
+            write_config(tmp_path, algorithms=algorithms, sma_window=2, histogram_bins=4)
+        )
 
         def result(seed, fitnesses):
             records = [generators.TestRecord((i, 0, 0, 0, 0, 0), 6.0 * f, f, 1, 1, i)

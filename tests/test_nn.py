@@ -138,6 +138,8 @@ class TestInit:
             LayerSpec(3, "sigmoid")
         with pytest.raises(ValueError):
             NetworkTopology(4, ())
+        with pytest.raises(ValueError, match="^input_dim must be >= 1$"):
+            NetworkTopology(0, (LayerSpec(3, "tanh"),))
 
 
 class TestForward:
@@ -206,6 +208,12 @@ class TestLoss:
 
 
 class TestBackward:
+    def test_targets_must_match_the_output(self):
+        # a (4, 1) target would broadcast against the (4, 2) output
+        net = make_net(3, [(2, "tanh")], seed=9)
+        with pytest.raises(ValueError, match=r"^targets must be \(4, 2\), got \(4, 1\)$"):
+            backward(net, np.zeros((4, 3)), np.zeros((4, 1)))
+
     def test_zero_at_minimum(self):
         net = make_net(2, [(3, "tanh"), (1, "linear")], seed=4)
         x = np.array([[0.1, -0.2]])
@@ -414,6 +422,13 @@ class TestTrainEpochs:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="^epochs and minibatch must be >= 1$"):
             train_epochs(net, (x, y), epochs, minibatch, rng)
+
+    def test_targets_must_match_the_output(self):
+        # a flat target would broadcast into the (1, 1) minibatch buffer
+        net = make_net(2, [(3, "tanh"), (1, "linear")], seed=2)
+        x, y = np.array([[0.1, 0.9]]), np.array([0.5])
+        with pytest.raises(ValueError, match=r"^targets must be \(1, 1\), got \(1,\)$"):
+            train_epochs(net, (x, y), 1, 8, np.random.default_rng(0))
 
     def test_single_point_regression_improves(self):
         net = make_net(2, [(4, "tanh"), (1, "linear")], seed=5)

@@ -260,6 +260,13 @@ class TestSnapProperties:
 
 
 class TestSnap:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_component_rejected(self, value):
+        # without the check, an infinite component would clip onto the last level
+        vectors = np.array([[0.0, 0.0, value, 0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="^vectors must be finite$"):
+            snap(grid(3, 3, 3, 3, 3, 3), vectors)
+
     def test_round_trip_on_all_grid_points(self):
         for counts in [(2, 2, 2, 2, 2, 2), (3, 1, 4, 2, 5, 2)]:
             s = grid(*counts)
@@ -315,6 +322,22 @@ class TestRanking:
             assert all(type(i) is int for i in unrank(s, r))
 
 
+class TestValidateInput:
+    def test_needs_six_indices(self):
+        with pytest.raises(ValueError, match="^input must have 6 indices$"):
+            default_space().validate_input((0, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize(
+        "test_input, message",
+        [((0, 19, 0, 0, 0, 0), r"index 19 out of range for dimension 1 \('big_freq'\)"),
+         ((0, 0, 0, 0, 0, -1), r"index -1 out of range for dimension 5 \('little_util'\)")],
+        ids=["past_big_freq", "negative"],
+    )
+    def test_out_of_range_index_names_its_dimension(self, test_input, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            default_space().validate_input(test_input)
+
+
 class TestEnumerate:
     def test_minimal_enumeration(self):
         s = grid(2, 1, 1, 1, 1, 1)
@@ -350,6 +373,11 @@ class TestSampleUniform:
             got = sample_inputs(s, exclude, 5, rng)
             assert len(set(got)) == 5
             assert not (set(got) & exclude)
+
+    def test_negative_k_rejected(self):
+        # without the check, k = -1 would return an empty list
+        with pytest.raises(ValueError, match="^k must be nonnegative$"):
+            sample_uniform(grid(2, 2, 2, 2, 2, 2), set(), -1, np.random.default_rng(0))
 
     def test_exhaustion_error(self):
         s = grid(2, 1, 1, 1, 1, 1)

@@ -18,7 +18,6 @@ from perfgan.space import (
     unrank,
 )
 from perfgan.sut import (
-    CalibrationError,
     FitnessSpec,
     SyntheticSut,
     calibrate_gain,
@@ -146,6 +145,11 @@ class TestMeasure:
 
 
 class TestFitness:
+    @pytest.mark.parametrize("p_m", [0.0, -6.0, math.nan])
+    def test_threshold_must_be_positive(self, p_m):
+        with pytest.raises(ValueError, match="^p_m must be positive$"):
+            FitnessSpec(p_m=p_m)
+
     def test_threshold_power_is_positive(self):
         assert fitness(FitnessSpec(p_m=6.0), 6.0) == 1.0
 
@@ -276,7 +280,7 @@ class TestCalibration:
                 Dimension("little_util", (0.5,)),
             )
         )
-        with pytest.raises(CalibrationError):
+        with pytest.raises(ValueError, match="^space has too little dynamic-power variation$"):
             calibrate_gain(SyntheticSut(), space, FitnessSpec(), 0.01)
 
     @pytest.mark.parametrize(
@@ -293,7 +297,7 @@ class TestCalibration:
             calibrate_gain(SyntheticSut(), big_cpus_space(levels), FitnessSpec(), density)
 
     def test_threshold_below_idle_fails(self):
-        with pytest.raises(CalibrationError):
+        with pytest.raises(ValueError, match=r"^threshold 1\.0 not above idle power 2\.0$"):
             calibrate_gain(
                 SyntheticSut(p_idle=2.0), default_space(), FitnessSpec(p_m=1.0), 0.01
             )
@@ -301,7 +305,7 @@ class TestCalibration:
     def test_density_above_twice_the_target_fails(self):
         # two inputs: 0.2 * 2 rounds to no input, so the hotter one alone
         # is positive, and 1/2 lies above 2 * 0.2
-        with pytest.raises(CalibrationError, match=r"density 0\.50000 outside"):
+        with pytest.raises(ValueError, match=r"density 0\.50000 outside"):
             calibrate_gain(SyntheticSut(), big_cpus_space((1.0, 2.0)), FitnessSpec(), 0.2)
 
     @pytest.mark.parametrize("density, positives", [(0.34, 3), (0.37, 4), (0.4, 4)])
@@ -363,21 +367,21 @@ def reference_gain(sut, space, spec, density):
     largest dynamic term, then gain = headroom / kth."""
     headroom = spec.p_m - sut.p_idle
     if headroom <= 0:
-        raise CalibrationError(f"threshold {spec.p_m} not above idle power {sut.p_idle}")
+        raise ValueError(f"threshold {spec.p_m} not above idle power {sut.p_idle}")
     dynamic = reference_dynamic_grid(sut, space)
     n = dynamic.size
     want = max(1, round(density * n))
     dynamic.partition(n - want)
     kth = float(dynamic[n - want])
     if kth <= 0:
-        raise CalibrationError("space has too little dynamic-power variation")
+        raise ValueError("space has too little dynamic-power variation")
     gain = headroom / kth
     peak = float(dynamic.max()) * gain + sut.p_idle
     if not math.isfinite(peak):
         raise ValueError(f"power at the top level of every dimension is {peak!r}")
     achieved = np.count_nonzero(dynamic * gain + sut.p_idle >= spec.p_m) / n
     if not 0.5 * density <= achieved <= 2.0 * density:
-        raise CalibrationError(
+        raise ValueError(
             f"achieved density {achieved:.5f} outside "
             f"[{0.5 * density:.5f}, {2.0 * density:.5f}]"
         )
@@ -387,11 +391,11 @@ def reference_gain(sut, space, spec, density):
 def outcome(calibrate, *args):
     try:
         return calibrate(*args)
-    except (CalibrationError, ValueError) as exc:
+    except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
-class TestBlockWalkIsExact:
+class TestSuffixCountIsExact:
     @settings(deadline=None)
     @given(power_case())
     def test_grid_count_and_set_match_one_full_grid(self, case):
