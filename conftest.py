@@ -1,8 +1,14 @@
-"""Tier-1 hang guard for every collected test, under tests/ and perfbench/.
+"""Tier-1 settings for every collected test, under tests/ and perfbench/.
 
-A test whose setup or call runs longer than TEST_TIME_LIMIT_S dumps the
-traceback of every thread and ends the pytest process, so a loop that
-never ends fails the suite instead of stalling it.
+Hang guard: a test whose setup or call runs longer than
+TEST_TIME_LIMIT_S dumps the traceback of every thread and ends the
+pytest process, so a loop that never ends fails the suite instead of
+stalling it.
+
+Fixed examples: every hypothesis test draws the same examples on every
+run (derandomized, no example database), so which lines Tier-1 reaches,
+and which mutants it kills, does not change from run to run.  A test's
+own `max_examples` and `deadline` still apply.
 """
 
 import faulthandler
@@ -10,6 +16,10 @@ import os
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 # above the 900 s bound that tests/test_acceptance.py's full_comparison
 # fixture asserts on itself

@@ -36,7 +36,7 @@ print(f"warm-up: {len(warmup)} tests, mean fitness {np.mean(fitnesses):.3f}, "
       f"{sum(f == 1.0 for f in fitnesses)} positive")
 
 gan = init_gan(GanHyperparams(), np.random.default_rng(7))
-inputs, targets = warmup.training_arrays(space)
+inputs, targets = warmup.training_arrays()
 print(f"discriminator MSE before training: "
       f"{loss_mse(forward(gan.discriminator, inputs), targets):.4f}")
 

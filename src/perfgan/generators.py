@@ -20,14 +20,14 @@ They differ only in their proposal, prediction and retraining.
 Every executed test records how many inner-loop passes and proposed
 candidates it cost, which is what the comparison tables aggregate, and
 a searched test also records the threshold and prediction it was
-accepted at.
+accepted at: one row per test, the input as its rank, in the columns
+of a `TestSuite`, whose `records` builds `TestRecord`s from them.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,6 @@ from .gan import (
 from .nn import Dataset, forward, init_network, train_epochs
 from .rng import stream_rng
 from .space import (
-    NUM_DIMENSIONS,
     InputSpace,
     TestInput,
     cardinality,
@@ -58,6 +57,10 @@ from .sut import FitnessSpec, SutInterface, fitness
 # ogan passes whose candidates one batched generator forward computes;
 # per-row forward cost bottoms out near 64 rows
 PROPOSAL_BLOCK = 64
+
+# one TestSuite row: an executed test's rank and the fields of its TestRecord
+_ROW = np.dtype([("rank", "i8"), ("power", "f8"), ("fitness", "f8"), ("inner_iterations", "i8"),
+                 ("candidate_trials", "i8"), ("threshold", "f8"), ("prediction", "f8")])
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,27 +85,50 @@ class TestRecord:
     prediction: float | None = None
 
 
-@dataclass
 class TestSuite:
-    """Ordered, duplicate-free executed tests."""
+    """Ordered, duplicate-free executed tests: one `_ROW` per test in a
+    structured array preallocated to `capacity`, NaN standing for a None
+    threshold or prediction.  `rows` views the filled rows; `records`
+    builds their `TestRecord`s on every read, so read it once."""
 
-    records: list[TestRecord] = field(default_factory=list)
+    __slots__ = ("space", "_rows", "_n")
+
+    def __init__(self, space: InputSpace, capacity: int) -> None:
+        self.space, self._rows, self._n = space, np.empty(capacity, _ROW), 0
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._n
+
+    def append(self, rank: int, power: float, fitness: float, passes: int, trials: int,
+               threshold: float = np.nan, prediction: float = np.nan) -> None:
+        self._rows[self._n] = (rank, power, fitness, passes, trials, threshold, prediction)
+        self._n += 1
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows[: self._n]
+
+    def inputs(self) -> np.ndarray:
+        """(n, 6) level indices of the executed inputs, in test order."""
+        return np.stack(np.unravel_index(self.rows["rank"], self.space.level_counts), axis=1)
+
+    @property
+    def records(self) -> list[TestRecord]:
+        return [
+            TestRecord(tuple(test_input), power, fit, passes, trials, i,
+                       *(None if np.isnan(v) else v for v in accepted))
+            for i, (test_input, (_, power, fit, passes, trials, *accepted))
+            in enumerate(zip(self.inputs().tolist(), self.rows.tolist()))
+        ]
 
     @property
     def positive_count(self) -> int:
-        return sum(r.fitness == 1.0 for r in self.records)
+        return int(np.count_nonzero(self.rows["fitness"] == 1.0))
 
-    def training_arrays(self, space: InputSpace) -> Dataset:
+    def training_arrays(self) -> Dataset:
         """(normalized inputs (n, 6), measured fitness (n, 1)) for training."""
-        n = len(self.records)
-        flat = chain.from_iterable(r.input for r in self.records)
-        idx = np.fromiter(flat, np.int64, n * NUM_DIMENSIONS).reshape(n, NUM_DIMENSIONS)
-        x = normalize_batch(space, np.ravel_multi_index(idx.T, space.level_counts))
-        y = np.fromiter((r.fitness for r in self.records), np.float64, n)[:, None]
-        return x, y
+        rows = self._rows[: self._n]
+        return normalize_batch(self.space, rows["rank"]), rows["fitness"][:, None].copy()
 
 
 @dataclass(frozen=True)
@@ -167,10 +193,9 @@ def _search(
         raise ValueError(
             f"budget {cfg.budget} exceeds space cardinality {cardinality(space)}"
         )
-    suite, executed = TestSuite(), set()
+    suite, executed = TestSuite(space, cfg.budget), set()
 
-    def execute(r: int, passes: int, trials: int,
-                threshold: float | None = None, prediction: float | None = None) -> None:
+    def execute(r: int, passes: int, trials: int, *accepted: float) -> None:
         # measure the input of rank r, record it and mark r executed
         test_input = unrank(space, r)
         power = sut.measure(space, test_input)
@@ -182,8 +207,7 @@ def _search(
             fit = fitness(spec, power)
         except ValueError as exc:
             raise ValueError(f"input {test_input}: {exc}") from exc
-        suite.records.append(TestRecord(test_input, power, fit, passes, trials, len(suite),
-                                        threshold, prediction))
+        suite.append(r, power, fit, passes, trials, *accepted)
         executed.add(r)
 
     rng = stream_rng(seed, "warmup-sampling")
@@ -193,8 +217,8 @@ def _search(
     if propose is None:
         return suite
     while len(suite) < cfg.budget:
-        if suite.records:
-            retrain(suite.training_arrays(space))
+        if len(suite):
+            retrain(suite.training_arrays())
         target = 1.0
         passes = trials = 0
         while True:

@@ -14,8 +14,9 @@ plot-ready outputs:
 * sma.csv        -- moving average over the cross-run mean fitness per
                     test index
 
-`run_experiment` returns `(results, summary)`: `summary` is the
-summary.json document, which `emit_outputs` writes as is.
+`run_experiment` returns `(results, summary)`: `summary`, built by
+`summarize`, is the summary.json document, which `emit_outputs` writes
+as is.  Both read the suites' columns, never `records`.
 
 The config dataclasses are the JSON schema: one walker, `_section`,
 reads the document as the fields of ExperimentConfig by name and type,
@@ -344,9 +345,9 @@ def summarize(cfg: ExperimentConfig, results: list[RunResult]) -> dict:
     for variant in cfg.algorithms:
         suites = [r.suite for r in results if r.algorithm == variant.label]
         positives = [s.positive_count for s in suites]
-        post = [rec for s in suites for rec in s.records[variant.config.warmup:]]
-        # runs x budget: row i is run i's fitness per test index
-        fitness = np.array([[rec.fitness for rec in s.records] for s in suites])
+        # runs x budget: row i is run i's tests in test order
+        rows = np.stack([s.rows for s in suites])
+        fitness, post = rows["fitness"], rows[:, variant.config.warmup:]
         algorithms[variant.label] = {
             "kind": variant.kind,
             "positive_counts": positives,
@@ -355,12 +356,8 @@ def summarize(cfg: ExperimentConfig, results: list[RunResult]) -> dict:
                 float(np.std(positives, ddof=1)) if len(positives) > 1 else 0.0
             ),
             "mean_fitness": float(fitness.mean()),
-            "mean_inner_iterations": (
-                float(np.mean([r.inner_iterations for r in post])) if post else None
-            ),
-            "mean_candidate_trials": (
-                float(np.mean([r.candidate_trials for r in post])) if post else None
-            ),
+            "mean_inner_iterations": float(post["inner_iterations"].mean()) if post.size else None,
+            "mean_candidate_trials": float(post["candidate_trials"].mean()) if post.size else None,
             "histogram": histogram(fitness, cfg.histogram_bins),
             "sma": sma(fitness.mean(axis=0), cfg.sma_window),
         }
@@ -402,12 +399,13 @@ def emit_outputs(
     out.mkdir(parents=True, exist_ok=True)
 
     test_rows = (
-        [run_id, variant.label, result.seed, rec.test_index]
-        + [repr(v) for v in cfg.space.physical_values(rec.input)]
-        + [repr(rec.power), repr(rec.fitness), rec.inner_iterations, rec.candidate_trials]
+        [run_id, variant.label, result.seed, i]
+        + [repr(v) for v in cfg.space.physical_values(test_input)]
+        + [repr(power), repr(fit), passes, trials]
         for variant in cfg.algorithms
         for run_id, result in enumerate(r for r in results if r.algorithm == variant.label)
-        for rec in result.suite.records
+        for i, (test_input, (_, power, fit, passes, trials, _, _))
+        in enumerate(zip(result.suite.inputs().tolist(), result.suite.rows.tolist()))
     )
     _write_csv(out / "tests.csv", TESTS_CSV_HEADER, test_rows)
 

@@ -239,7 +239,7 @@ def test_criterion_5_algorithm_invariants():
 
         # phase isolation: the untrained phase is bit-identical
         gan = init_gan(GanHyperparams(), np.random.default_rng(5))
-        inputs, targets = suites["random"].training_arrays(space)
+        inputs, targets = suites["random"].training_arrays()
         suite_pairs = (inputs[:16], targets[:16])
         after_disc = train_discriminator(gan, suite_pairs, GanHyperparams(),
                                          np.random.default_rng(6))
@@ -283,11 +283,11 @@ def test_criterion_6_learning_signal():
         spec = FitnessSpec()
         warmup = run_random(space, sut, spec,
                             AlgorithmConfig(budget=50, warmup=50), 777)
-        inputs, targets = warmup.training_arrays(space)
+        inputs, targets = warmup.training_arrays()
 
         gan = init_gan(GanHyperparams(), np.random.default_rng(777))
         mse_before = loss_mse(forward(gan.discriminator, inputs), targets)
-        trained = train_discriminator(gan, warmup.training_arrays(space),
+        trained = train_discriminator(gan, warmup.training_arrays(),
                                       GanHyperparams(), np.random.default_rng(778))
         mse_after = loss_mse(forward(trained.discriminator, inputs), targets)
         assert mse_after < mse_before, f"{mse_after} !< {mse_before}"

@@ -1,5 +1,10 @@
 """The three budgeted algorithms: invariants, accounting, determinism."""
 
+import gc
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +16,7 @@ from perfgan.generators import (
     run_ogan,
     run_random,
 )
+from perfgan.harness import load_config
 from perfgan.space import (
     Dimension,
     InputSpace,
@@ -42,6 +48,7 @@ SPACE = small_space()
 SUT = SyntheticSut(gain=2.0)
 SPEC = FitnessSpec(p_m=6.0)
 FAST_GAN = GanHyperparams(disc_epochs=2, gen_epochs=2)
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
 
 def fast_cfg(**kwargs):
@@ -396,27 +403,54 @@ class TestBudgetPrefix:
 
 class TestSuiteStats:
     def test_empty_suite(self):
-        assert generators.TestSuite().positive_count == 0
+        assert generators.TestSuite(SPACE, 0).positive_count == 0
 
     def test_all_positive(self):
-        # records are frozen; count over a fake suite of the run's inputs
+        # a fake suite of the run's inputs, every one at fitness 1
         suite = run_random(SPACE, SUT, SPEC, fast_cfg(budget=5, warmup=0), 23)
-        fake = generators.TestSuite(
-            records=[
-                generators.TestRecord(r.input, 9.0, 1.0, 1, 1, i)
-                for i, r in enumerate(suite.records)
-            ]
-        )
+        fake = generators.TestSuite(SPACE, 5)
+        for r in suite.records:
+            fake.append(rank(SPACE, r.input), 9.0, 1.0, 1, 1)
         assert fake.positive_count == 5
 
     def test_hand_arithmetic(self):
-        fake = generators.TestSuite(
-            records=[
-                generators.TestRecord((0, 0, 0, 0, 0, 0), 6.0, 1.0, 1, 1, 0),
-                generators.TestRecord((1, 0, 0, 0, 0, 0), 3.0, 0.5, 1, 1, 1),
-            ]
-        )
+        fake = generators.TestSuite(SPACE, 2)
+        fake.append(rank(SPACE, (0, 0, 0, 0, 0, 0)), 6.0, 1.0, 1, 1)
+        fake.append(rank(SPACE, (1, 0, 0, 0, 0, 0)), 3.0, 0.5, 1, 1)
         assert fake.positive_count == 1
+
+    def test_training_arrays_cover_the_executed_rows(self):
+        # below its capacity a suite trains on its executed tests only
+        suite = generators.TestSuite(SPACE, 5)
+        suite.append(rank(SPACE, (2, 0, 0, 0, 0, 1)), 6.0, 1.0, 1, 1)
+        suite.append(rank(SPACE, (0, 1, 0, 0, 0, 0)), 3.0, 0.5, 1, 1)
+        x, y = suite.training_arrays()
+        np.testing.assert_array_equal(x, [[1, -1, -1, -1, -1, 0], [-1, 0, -1, -1, -1, -1]])
+        np.testing.assert_array_equal(y, [[1.0], [0.5]])
+        assert len(suite.records) == 2
+
+
+class TestSuiteMemory:
+    @pytest.mark.parametrize("kind", ["random", "dn", "ogan"])
+    def test_a_finished_run_retains_at_most_80_bytes_per_test(self, kind):
+        # traced bytes still held once a budget-200 run of the default
+        # config has returned: its suite, 56 bytes of columns per test
+        # plus the array and suite headers.  A short run warms caches first
+        cfg = load_config(DEFAULT_CONFIG)
+        (variant,) = [v for v in cfg.algorithms if v.kind == kind]
+        run = getattr(generators, f"run_{kind}")
+        run(cfg.space, cfg.sut, cfg.fitness, replace(variant.config, budget=60), 0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            suite = run(cfg.space, cfg.sut, cfg.fitness, variant.config, 0)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(suite) == 200
+        assert retained <= 80 * len(suite)
 
 
 class TestConfigValidation:

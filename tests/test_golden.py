@@ -26,13 +26,20 @@ snap tie or acceptance threshold, pick another test.
 
 import hashlib
 import json
+import pickle
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from perfgan.generators import run_dn, run_ogan, run_random
-from perfgan.harness import emit_outputs, load_config, parse_config, run_experiment
+from perfgan.harness import (
+    RunResult,
+    emit_outputs,
+    load_config,
+    parse_config,
+    run_experiment,
+)
 from perfgan.rng import derive_run_seed
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -74,16 +81,42 @@ def suite_digest(suite):
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_suite_matches_golden_digest(case):
-    kind, overrides, digest = GOLDEN[case]
+def golden_suite(case):
+    kind, overrides, _ = GOLDEN[case]
     cfg = load_config(CONFIG)
     (variant,) = [v for v in cfg.algorithms if v.kind == kind]
     short = replace(variant.config, budget=60, warmup=50, **overrides)
-    seed = derive_run_seed(42, 0)
-    suite = RUNNERS[kind](cfg.space, cfg.sut, cfg.fitness, short, seed)
+    return RUNNERS[kind](cfg.space, cfg.sut, cfg.fitness, short, derive_run_seed(42, 0))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_suite_matches_golden_digest(case):
+    suite = golden_suite(case)
     assert len(suite) == 60
-    assert suite_digest(suite) == digest
+    assert suite_digest(suite) == GOLDEN[case][2]
+
+
+@pytest.mark.parametrize("case", ["random", "dn", "ogan"])
+def test_records_read_back_as_python_values(case):
+    # records built from the suite's columns hold Python ints and floats,
+    # None for the threshold and prediction of a test no search accepted,
+    # and a pickled result reads back the same records
+    suite = golden_suite(case)
+    records = suite.records
+    assert [r.test_index for r in records] == list(range(60))
+    for r in records:
+        assert type(r.input) is tuple and {type(i) for i in r.input} == {int}
+        assert type(r.power) is float and type(r.fitness) is float
+        assert type(r.inner_iterations) is int and type(r.candidate_trials) is int
+    searched = records[50:] if case != "random" else []
+    for r in records[: 60 - len(searched)]:
+        assert r.threshold is None and r.prediction is None
+    for r in searched:
+        assert type(r.threshold) is float and type(r.prediction) is float
+    assert suite.positive_count == sum(r.fitness == 1.0 for r in records)
+    result = RunResult(case, 7, suite)
+    loaded = pickle.loads(pickle.dumps(result))
+    assert (loaded.algorithm, loaded.seed, loaded.suite.records) == (case, 7, records)
 
 
 def experiment_file_digests(cfg, out):

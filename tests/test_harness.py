@@ -460,9 +460,10 @@ class TestSummarize:
         )
 
         def result(seed, fitnesses):
-            records = [generators.TestRecord((i, 0, 0, 0, 0, 0), 6.0 * f, f, 1, 1, i)
-                       for i, f in enumerate(fitnesses)]
-            return harness.RunResult("random", seed, generators.TestSuite(records))
+            suite = generators.TestSuite(cfg.space, len(fitnesses))
+            for i, f in enumerate(fitnesses):
+                suite.append(i, 6.0 * f, f, 1, 1)
+            return harness.RunResult("random", seed, suite)
 
         results = [result(1, [1.0, 0.5, 0.5, 0.5]), result(2, [1.0, 1.0, 0.5, 1.0])]
         summary = harness.summarize(cfg, results)["algorithms"]["random"]
