@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 configuration error, 2 output I/O error.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -82,7 +81,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {"compare": _cmd_compare, "run": _cmd_run, "oracle": _cmd_oracle}

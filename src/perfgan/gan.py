@@ -2,12 +2,11 @@
 
 The generator maps 100-dimensional uniform noise to a candidate
 configuration in [-1, 1]^6; the discriminator regresses a candidate's
-fitness.  There is no prior training set: each training round first fits
-the discriminator to the executed tests' measured fitness, then freezes
-it and trains the generator through it toward the maximum fitness of 1.
-
-The discriminator's relu output is deliberately left unclamped above 1;
-acceptance checks elsewhere compare the raw prediction.
+fitness, its relu output unclamped above 1.  Each round (`fit_gan`) fits
+the discriminator to the executed tests' measured fitness, then trains
+the generator through it toward fitness 1, in place on two
+`TrainingCopy`s that a run holds for all its rounds; the `train_*` calls
+run the same steps on fresh copies, their arguments untouched.
 """
 
 from __future__ import annotations
@@ -107,39 +106,48 @@ def train_discriminator(
     return replace(gan, discriminator=disc)
 
 
-def train_generator(
-    gan: GanModel, hp: GanHyperparams, rng: np.random.Generator, suite_size: int = 0
-) -> GanModel:
-    """Push generator outputs toward predicted fitness 1.
+def fit_generator(gen: TrainingCopy, discriminator: NetworkState, hp: GanHyperparams,
+                  rng: np.random.Generator, suite_size: int) -> None:
+    """Push generator outputs toward predicted fitness 1, in place on `gen`.
 
-    Each round draws max(32, suite_size) fresh noise rows, so the
-    generator sees at least as much noise as there is data.  It runs the
-    noise through the generator and the frozen discriminator, and takes
-    one RMSprop step on the generator from the mean-squared distance to
-    the constant target 1, in place on the `TrainingCopy` made on entry;
-    `gan` is not mutated.  The frozen discriminator only relays its input
-    gradient, and the generator's gradient with respect to the noise is
-    never computed.  Both passes write into the `StepArrays` the call
-    builds when it starts, one set per network, the noise too (rng.random,
-    *2, -1: rng.uniform(-1, 1) bit for bit); no loss is computed.
-    """
+    Each step draws max(32, suite_size) noise rows, at least one per
+    data row, runs them through the generator and the frozen
+    `discriminator`, which only relays its input gradient, and takes one
+    RMSprop step from the mean-squared distance to the constant target 1.
+    Both passes write into `StepArrays` built on entry, the noise too
+    (rng.random, *2, -1: rng.uniform(-1, 1) bit for bit); neither the
+    loss nor the noise's gradient is computed."""
     n = max(32, suite_size)
-    own = TrainingCopy(gan.generator)
-    gen, disc = StepArrays(own.state, n, False), StepArrays(gan.discriminator, n, True)
+    arrays, disc = StepArrays(gen.state, n, False), StepArrays(discriminator, n, True)
     ones = np.ones((n, 1))
     for _ in range(hp.gen_epochs):
-        noise = rng.random(out=gen.inputs)
+        noise = rng.random(out=arrays.inputs)
         np.subtract(np.multiply(noise, 2.0, out=noise), 1.0, out=noise)
-        forward_trace(own.state, noise, out=gen.trace)
-        forward_trace(gan.discriminator, gen.trace.output, out=disc.trace)
-        own.backward(gen, disc.relay(ones))
-        own.update()
+        forward_trace(gen.state, noise, out=arrays.trace)
+        forward_trace(discriminator, arrays.trace.output, out=disc.trace)
+        gen.backward(arrays, disc.relay(ones))
+        gen.update()
+
+
+def fit_gan(gen: TrainingCopy, disc: TrainingCopy, dataset: Dataset, hp: GanHyperparams,
+            rng: np.random.Generator) -> None:
+    """One online round in place: the discriminator fits the suite, then
+    the generator trains through it (`fit_generator`)."""
+    disc.fit(dataset, hp.disc_epochs, hp.minibatch, rng)
+    fit_generator(gen, disc.state, hp, rng, len(dataset[0]))
+
+
+def train_generator(gan: GanModel, hp: GanHyperparams, rng: np.random.Generator,
+                    suite_size: int = 0) -> GanModel:
+    """`fit_generator` on a copy of the generator; `gan` untouched."""
+    own = TrainingCopy(gan.generator)
+    fit_generator(own, gan.discriminator, hp, rng, suite_size)
     return replace(gan, generator=own.state)
 
 
-def train_gan(
-    gan: GanModel, dataset: Dataset, hp: GanHyperparams, rng: np.random.Generator
-) -> GanModel:
-    """One online round: discriminator on the suite, then the generator."""
-    gan = train_discriminator(gan, dataset, hp, rng)
-    return train_generator(gan, hp, rng, suite_size=len(dataset[0]))
+def train_gan(gan: GanModel, dataset: Dataset, hp: GanHyperparams,
+              rng: np.random.Generator) -> GanModel:
+    """`fit_gan` on copies of both networks; `gan` untouched."""
+    gen, disc = TrainingCopy(gan.generator), TrainingCopy(gan.discriminator)
+    fit_gan(gen, disc, dataset, hp, rng)
+    return GanModel(gen.state, disc.state)

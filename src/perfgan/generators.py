@@ -14,8 +14,11 @@ is proposed:
 dn and ogan share one acceptance loop (`_search`): each inner pass
 decays the threshold by `treducer`, takes the proposal's unexecuted
 candidates, and accepts the best-predicted one if it clears the
-threshold; the model retrains before every searched test.
-They differ only in their proposal, prediction and retraining.
+threshold; the model retrains before every searched test.  They differ
+only in their proposal, prediction and retraining.  A run owns the
+networks it trains, one `TrainingCopy` each, built once and retrained
+in place (`TrainingCopy.fit`, `gan.fit_gan`); proposals and predictions
+read those states.
 
 Every executed test records how many inner-loop passes and proposed
 candidates it cost, which is what the comparison tables aggregate, and
@@ -36,12 +39,13 @@ from .gan import (
     DISCRIMINATOR_TOPOLOGY,
     LATENT_DIM,
     GanHyperparams,
+    GanModel,
+    fit_gan,
     init_gan,
     predict_fitness,
     sample_candidates,
-    train_gan,
 )
-from .nn import Dataset, forward, init_network, train_epochs
+from .nn import Dataset, TrainingCopy, forward, init_network
 from .rng import stream_rng
 from .space import (
     InputSpace,
@@ -265,7 +269,7 @@ def run_dn(
     """
     rng_sample = stream_rng(seed, "dn-sampling")
     rng_train = stream_rng(seed, "gan-train")
-    disc = init_network(DISCRIMINATOR_TOPOLOGY, stream_rng(seed, "net-init"))
+    disc = TrainingCopy(init_network(DISCRIMINATOR_TOPOLOGY, stream_rng(seed, "net-init")))
     total = cardinality(space)
 
     def propose(executed: set[int], stalled: bool) -> tuple[int, list[int]]:
@@ -273,11 +277,10 @@ def run_dn(
         return batch, sample_uniform(space, executed, batch, rng_sample)
 
     def retrain(dataset: Dataset) -> None:
-        nonlocal disc
-        disc, _ = train_epochs(disc, dataset, cfg.gan.disc_epochs, cfg.gan.minibatch, rng_train)
+        disc.fit(dataset, cfg.gan.disc_epochs, cfg.gan.minibatch, rng_train)
 
     return _search(space, sut, spec, cfg, seed, propose,
-                   lambda rows: forward(disc, rows)[:, 0], retrain)
+                   lambda rows: forward(disc.state, rows)[:, 0], retrain)
 
 
 def run_ogan(
@@ -293,7 +296,7 @@ def run_ogan(
     grid, so a snap onto an executed input costs a pass and a trial
     without reaching the surrogate.  Past the stall guard the candidate
     is a uniform draw among unexecuted inputs instead.  Generator and
-    surrogate retrain before every searched test.
+    surrogate retrain in place (`fit_gan`) before every searched test.
 
     The generator is frozen between retrains, so candidates are computed
     PROPOSAL_BLOCK passes at a time: one generator forward and one snap
@@ -306,6 +309,10 @@ def run_ogan(
     rng_train = stream_rng(seed, "gan-train")
     rng_fallback = stream_rng(seed, "fallback-sampling")
     gan = init_gan(cfg.gan, stream_rng(seed, "net-init"))
+    # the run's own networks, retrained in place; `gan` views their states
+    # and drops the initial ones
+    gen, disc = TrainingCopy(gan.generator), TrainingCopy(gan.discriminator)
+    gan = GanModel(gen.state, disc.state)
     # noise holds the gan-latent rows no pass has used yet, in draw order;
     # block holds the ranks of the current generator's snapped candidates
     # for its leading rows (empty after a retrain, which keeps the noise)
@@ -327,8 +334,8 @@ def run_ogan(
         return 1, [] if r in executed else [r]
 
     def retrain(dataset: Dataset) -> None:
-        nonlocal gan, block
-        gan = train_gan(gan, dataset, cfg.gan, rng_train)
+        nonlocal block
+        fit_gan(gen, disc, dataset, cfg.gan, rng_train)
         block = []
 
     return _search(space, sut, spec, cfg, seed, propose,

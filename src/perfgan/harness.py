@@ -38,7 +38,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import logging
 import sys
 import time
 import typing
@@ -59,7 +58,6 @@ from .rng import derive_run_seed
 from .space import DIMENSION_ROLES, NUM_DIMENSIONS, Dimension, InputSpace, cardinality
 from .sut import FitnessSpec, SyntheticSut, calibrate_gain, oracle_positive_count
 
-log = logging.getLogger(__name__)
 
 _RUNNERS = {"random": run_random, "dn": run_dn, "ogan": run_ogan}
 ALGORITHM_KINDS = tuple(_RUNNERS)
@@ -306,8 +304,8 @@ def run_experiment(
 
     Seeds default to derive_run_seed(master_seed, i) for i in
     range(runs): the same run index gives every variant the same seed,
-    pairing their warm-up phases.  Writes no file; `emit_outputs` does.
-    """
+    pairing their warm-up phases.  Writes no file (`emit_outputs` does);
+    prints one line per run, with its positives and time, to stderr."""
     if run_seeds is None:
         run_seeds = [derive_run_seed(cfg.master_seed, i) for i in range(cfg.runs)]
     if len(run_seeds) != cfg.runs:
@@ -320,11 +318,8 @@ def run_experiment(
             start = time.perf_counter()
             suite = runner(cfg.space, cfg.sut, cfg.fitness, variant.config, seed)
             duration = time.perf_counter() - start
-            log.info(
-                "%s run %d/%d: %d positives in %.2fs",
-                variant.label, i + 1, cfg.runs, suite.positive_count,
-                duration,
-            )
+            print(f"{variant.label} run {i + 1}/{cfg.runs}: {suite.positive_count} positives"
+                  f" in {duration:.2f}s", file=sys.stderr)
             results.append(RunResult(algorithm=variant.label, seed=seed, suite=suite))
 
     return results, summarize(cfg, results)

@@ -16,13 +16,16 @@ fresh arrays.  A trace keeps one array per layer, the activation taken
 in place over the affine result, and backward spends the trace, not its
 upstream gradient: each layer's local derivative, then its dL/dz, is
 written over its output activation, so one buffer holds all of a pass's
-input gradients.  A training call owns a copy of its network, cache
-included (`TrainingCopy`), made on entry and updated in place, and one
-`StepArrays` set per network and batch size, so a step allocates
-nothing.  It computes only what it reads: parameter gradients of the
-trained network (`TrainingCopy.backward`), the input gradient of a
-frozen one (`StepArrays.relay`), and the loss in the last epoch only;
-the update spends the gradient buffer.
+input gradients.  Training updates a `TrainingCopy` in place: a copy of
+one network, cache included, with its gradient vector and one bounded
+update scratch.  Whoever holds it owns the copy: a run keeps one per
+network for all its retrains, and the public `train_epochs` and
+`rmsprop_step` make one per call.  Each `fit` builds one `StepArrays`
+set per batch size, so a step allocates nothing, and computes only what
+it reads: parameter gradients of the trained network
+(`TrainingCopy.backward`), the input gradient of a frozen one
+(`StepArrays.relay`), and the loss in the last epoch only; the update
+spends the gradient buffer.
 
 All state is float64.  Public calls never mutate their arguments, so
 "this phase did not touch that network" is checkable by object identity
@@ -309,17 +312,26 @@ class StepArrays:
         return _backward(self.trace, self.grad, None, self.input_grads)
 
 
+# elements per slice of `TrainingCopy.update`, whose scratch is one slice
+# (128 KB): the generator's 46,726 parameters are three slices
+UPDATE_SLICE = 16_384
+
+
 class TrainingCopy:
-    """A training call's own copy of a network (`state.copy()`, made on
-    entry), which every step updates in place, plus a gradient vector
-    with per-layer views (`grad_views`) and one scratch vector; the call
-    builds its `StepArrays` on entry too, one per network and batch size."""
+    """A copy of a network (`state.copy()`), which `fit` and every step
+    update in place, cache included, plus a gradient vector with
+    per-layer views (`grad_views`) and the update's per-slice views of
+    parameters, gradients, cache and one scratch slice, built once."""
 
     def __init__(self, state: NetworkState) -> None:
         self.state = state.copy()
         self.grads = np.empty_like(state.params)
         self.grad_views = _split(self.grads, state.topology)
-        self.scratch = np.empty_like(state.params)
+        vectors = self.state.params, self.grads, self.state.cache
+        scratch, self._slices = np.empty(min(UPDATE_SLICE, self.grads.size)), []
+        for i in range(0, self.grads.size, UPDATE_SLICE):
+            p, g, c = (v[i : i + UPDATE_SLICE] for v in vectors)
+            self._slices.append((p, g, c, scratch[: len(g)]))
 
     def backward(self, arrays: StepArrays, output_grad: np.ndarray) -> None:
         """Gradients through `arrays.trace`, a pass of `state`, into the
@@ -328,16 +340,60 @@ class TrainingCopy:
 
     def update(self) -> None:
         """One RMSprop step of the copy, cache included, from the gradient
-        buffer, in place; spends the buffer."""
+        buffer, in place, slice by slice (elementwise, so the bits do not
+        depend on the slicing); spends the buffer."""
         lr, rho, eps = RMSPROP_LEARNING_RATE, RMSPROP_RHO, RMSPROP_EPSILON
-        p, g, c, t = self.state.params, self.grads, self.state.cache, self.scratch
-        # cache <- rho*cache + ((1-rho)*g)*g; the other order of the
-        # products differs in the last bits
-        c *= rho
-        c += np.multiply(np.multiply(g, 1.0 - rho, out=t), g, out=t)
-        # param <- param - (lr*g) / (sqrt(cache) + epsilon)
-        np.add(np.sqrt(c, out=t), eps, out=t)
-        p -= np.divide(np.multiply(g, lr, out=g), t, out=g)
+        for p, g, c, t in self._slices:
+            # cache <- rho*cache + ((1-rho)*g)*g; the other order of the
+            # products differs in the last bits
+            c *= rho
+            c += np.multiply(np.multiply(g, 1.0 - rho, out=t), g, out=t)
+            # param <- param - (lr*g) / (sqrt(cache) + epsilon)
+            np.add(np.sqrt(c, out=t), eps, out=t)
+            p -= np.divide(np.multiply(g, lr, out=g), t, out=g)
+
+    def fit(self, dataset: Dataset, epochs: int, minibatch: int,
+            rng: np.random.Generator) -> float:
+        """Minibatch RMSprop training of the copy in place, cache included;
+        returns the last epoch's mean loss.
+
+        Each epoch reshuffles with `rng` and sweeps consecutive minibatches
+        (final short batch included), each step in the `StepArrays` of its
+        batch size.  The loss is computed in the last epoch only, before
+        each of its updates, and weighted by sample.  Raises ValueError
+        unless epochs and minibatch are both >= 1."""
+        inputs, targets = dataset
+        x = _check_inputs(self.state, inputs)
+        t = np.asarray(targets, dtype=np.float64)
+        n = x.shape[0]
+        if n == 0:
+            raise ValueError("dataset must be nonempty")
+        want = (n, self.state.topology.output_dim)
+        if t.shape != want:
+            raise ValueError(f"targets must be {want}, got {t.shape}")
+        if epochs < 1 or minibatch < 1:
+            raise ValueError("epochs and minibatch must be >= 1")
+
+        step_arrays = {rows: StepArrays(self.state, rows, False)
+                       for rows in {min(n, minibatch), n % minibatch or minibatch}}
+        total = 0.0
+        for epoch in range(epochs):
+            perm = rng.permutation(n)
+            last = epoch == epochs - 1
+            for start in range(0, n, minibatch):
+                batch = perm[start : start + minibatch]
+                arrays = step_arrays[len(batch)]
+                # "clip" writes unbuffered; a permutation's indices are in range
+                x.take(batch, 0, arrays.inputs, "clip")
+                trace = forward_trace(self.state, arrays.inputs, out=arrays.trace)
+                t.take(batch, 0, arrays.targets, "clip")
+                loss = _mse_grad(trace.output, arrays.targets, arrays.grad,
+                                 arrays.sq if last else None)
+                if last:
+                    total += loss * len(batch)
+                self.backward(arrays, arrays.grad)
+                self.update()
+        return float(total / n)
 
 
 def rmsprop_step(state: NetworkState, grads: Gradients) -> NetworkState:
@@ -350,54 +406,9 @@ def rmsprop_step(state: NetworkState, grads: Gradients) -> NetworkState:
     return own.state
 
 
-def train_epochs(
-    state: NetworkState,
-    dataset: Dataset,
-    epochs: int,
-    minibatch: int,
-    rng: np.random.Generator,
-) -> tuple[NetworkState, float]:
-    """Minibatch RMSprop training of a copy of `state`, cache included;
-    returns the copy and the last epoch's mean loss.
-
-    Each epoch reshuffles with `rng` and sweeps consecutive minibatches
-    (final short batch included).  The loss is computed in the last
-    epoch only, before each of its updates; the returned loss is the
-    sample-weighted mean over that epoch.  Raises ValueError unless
-    epochs and minibatch are both >= 1.  Steps write into the call's own
-    arrays, one set for `minibatch` rows and one for a short final batch.
-    """
-    inputs, targets = dataset
-    x = _check_inputs(state, inputs)
-    t = np.asarray(targets, dtype=np.float64)
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("dataset must be nonempty")
-    want = (n, state.topology.output_dim)
-    if t.shape != want:
-        raise ValueError(f"targets must be {want}, got {t.shape}")
-    if epochs < 1 or minibatch < 1:
-        raise ValueError("epochs and minibatch must be >= 1")
-
+def train_epochs(state: NetworkState, dataset: Dataset, epochs: int, minibatch: int,
+                 rng: np.random.Generator) -> tuple[NetworkState, float]:
+    """`TrainingCopy.fit` on a fresh copy of `state`; returns the trained
+    copy and the last epoch's mean loss, `state` untouched."""
     own = TrainingCopy(state)
-    step_arrays = {rows: StepArrays(own.state, rows, False)
-                   for rows in {min(n, minibatch), n % minibatch or minibatch}}
-    total = 0.0
-    for epoch in range(epochs):
-        perm = rng.permutation(n)
-        last = epoch == epochs - 1
-        for start in range(0, n, minibatch):
-            batch = perm[start : start + minibatch]
-            arrays = step_arrays[len(batch)]
-            # "clip" writes unbuffered; a permutation's indices are in range
-            x.take(batch, 0, arrays.inputs, "clip")
-            trace = forward_trace(own.state, arrays.inputs, out=arrays.trace)
-            t.take(batch, 0, arrays.targets, "clip")
-            loss = _mse_grad(
-                trace.output, arrays.targets, arrays.grad, arrays.sq if last else None
-            )
-            if last:
-                total += loss * len(batch)
-            own.backward(arrays, arrays.grad)
-            own.update()
-    return own.state, float(total / n)
+    return own.state, own.fit(dataset, epochs, minibatch, rng)

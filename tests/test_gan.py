@@ -14,6 +14,7 @@ from perfgan.gan import (
     LATENT_DIM,
     GanHyperparams,
     GanModel,
+    fit_gan,
     init_gan,
     predict_fitness,
     sample_candidates,
@@ -21,7 +22,7 @@ from perfgan.gan import (
     train_gan,
     train_generator,
 )
-from perfgan.nn import forward, loss_mse
+from perfgan.nn import TrainingCopy, forward, loss_mse
 from test_nn import arrays_of, assert_untouched_and_unshared
 
 
@@ -335,3 +336,20 @@ class TestTrainGan:
         with pytest.raises(ValueError):
             train_gan(fresh_gan(20), EMPTY_SUITE, GanHyperparams(),
                       np.random.default_rng(0))
+
+    def test_k_rounds_in_place_equal_k_chained_train_gan(self):
+        # a run's two copies, trained round after round, against the
+        # public call that copies both networks every round
+        chained = trained_gan(26)
+        gen, disc = TrainingCopy(chained.generator), TrainingCopy(chained.discriminator)
+        owned = gen.state, disc.state
+        hp = GanHyperparams(disc_epochs=2, gen_epochs=2)
+        rng, chained_rng = np.random.default_rng(14), np.random.default_rng(14)
+        for k in range(4):
+            suite = toy_suite(30 + k, seed=k)
+            fit_gan(gen, disc, suite, hp, rng)
+            chained = train_gan(chained, suite, hp, chained_rng)
+            for a, b in zip(arrays_of(*owned), arrays_of(*states_of(chained)), strict=True):
+                assert a.tobytes() == b.tobytes()
+            assert rng.bit_generator.state == chained_rng.bit_generator.state
+        assert gen.state is owned[0] and disc.state is owned[1]

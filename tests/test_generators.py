@@ -17,6 +17,7 @@ from perfgan.generators import (
     run_random,
 )
 from perfgan.harness import load_config
+from perfgan.nn import TrainingCopy
 from perfgan.space import (
     Dimension,
     InputSpace,
@@ -49,6 +50,10 @@ SUT = SyntheticSut(gain=2.0)
 SPEC = FitnessSpec(p_m=6.0)
 FAST_GAN = GanHyperparams(disc_epochs=2, gen_epochs=2)
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+# what a run calls only to query or train its model, so only once it
+# searches past the warm-up
+DN_MODEL_HOOKS = ((generators, "forward"), (TrainingCopy, "fit"))
+OGAN_MODEL_HOOKS = ((generators, "sample_candidates"), (generators, "fit_gan"))
 
 
 def fast_cfg(**kwargs):
@@ -166,8 +171,8 @@ class TestRunDn:
         def boom(*args):
             raise AssertionError("surrogate queried or trained")
 
-        monkeypatch.setattr(generators, "forward", boom)
-        monkeypatch.setattr(generators, "train_epochs", boom)
+        for owner, name in DN_MODEL_HOOKS:
+            monkeypatch.setattr(owner, name, boom)
         cfg = fast_cfg(budget=10, warmup=10)
         suite = run_dn(SPACE, SUT, SPEC, cfg, 13)
         assert len(suite) == 10
@@ -203,8 +208,8 @@ class TestRunOgan:
         def boom(*args):
             raise AssertionError("generator sampled or trained")
 
-        monkeypatch.setattr(generators, "sample_candidates", boom)
-        monkeypatch.setattr(generators, "train_gan", boom)
+        for owner, name in OGAN_MODEL_HOOKS:
+            monkeypatch.setattr(owner, name, boom)
         cfg = fast_cfg(budget=10, warmup=10)
         suite = run_ogan(SPACE, SUT, SPEC, cfg, 18)
         assert len(suite) == 10
@@ -283,22 +288,40 @@ class TestSearchBookkeeping:
             assert not set(candidates) & set(ranks[:executed_so_far])
 
     @pytest.mark.parametrize(
-        "run, trainer", [(run_dn, "train_epochs"), (run_ogan, "train_gan")]
+        "run, owner, trainer",
+        [(run_dn, TrainingCopy, "fit"), (run_ogan, generators, "fit_gan")],
+        ids=["run_dn-fit", "run_ogan-fit_gan"],
     )
-    def test_one_retrain_per_searched_test(self, monkeypatch, run, trainer):
+    def test_one_retrain_per_searched_test(self, monkeypatch, run, owner, trainer):
         # the warm-up round included; no retrain follows the last test
         calls = []
-        real = getattr(generators, trainer)
+        real = getattr(owner, trainer)
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(generators, trainer, counting)
+        monkeypatch.setattr(owner, trainer, counting)
         cfg = fast_cfg(budget=16, warmup=6)
         suite = run(SPACE, SUT, SPEC, cfg, 27)
         assert len(suite) == cfg.budget
         assert len(calls) == cfg.budget - cfg.warmup
+
+    @pytest.mark.parametrize(
+        "run, owner, name",
+        [pytest.param(run, *hook, id=f"{run.__name__}-{hook[1]}")
+         for run, hooks in ((run_dn, DN_MODEL_HOOKS), (run_ogan, OGAN_MODEL_HOOKS))
+         for hook in hooks],
+    )
+    def test_each_model_hook_is_reached_past_the_warmup(self, monkeypatch, run, owner, name):
+        # the guards of the budget-equals-warm-up tests fire, each alone,
+        # once the budget exceeds the warm-up by one test
+        def boom(*args):
+            raise AssertionError(f"{name} reached")
+
+        monkeypatch.setattr(owner, name, boom)
+        with pytest.raises(AssertionError, match=f"^{name} reached$"):
+            run(SPACE, SUT, SPEC, fast_cfg(budget=11, warmup=10), 13)
 
 
 class TestBadMeasurement:
@@ -451,6 +474,26 @@ class TestSuiteMemory:
             tracemalloc.stop()
         assert len(suite) == 200
         assert retained <= 80 * len(suite)
+
+
+class TestRunMemory:
+    def test_an_ogan_run_peaks_below_2_6_mb(self):
+        # traced peak of a budget-200 run of the default config after a
+        # warm-up run: the run's two training copies (the generator's
+        # parameters, cache and gradients, 1.1 MB, and a 128 KB update
+        # scratch) plus one generator round's arrays at 199 noise rows
+        cfg = load_config(DEFAULT_CONFIG)
+        (variant,) = [v for v in cfg.algorithms if v.kind == "ogan"]
+        run_ogan(cfg.space, cfg.sut, cfg.fitness, replace(variant.config, budget=60), 0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            suite = run_ogan(cfg.space, cfg.sut, cfg.fitness, variant.config, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(suite) == 200
+        assert peak <= 2.6e6
 
 
 class TestConfigValidation:

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -411,6 +412,55 @@ class TestRmsprop:
         rmsprop_step(net, grads)
         assert np.array_equal(net.weights[0], w_before)
         assert np.array_equal(net.cache, np.zeros_like(net.cache))
+
+
+class TestTrainingCopy:
+    def test_sliced_update_equals_whole_vector_update(self):
+        # one linear layer of 2.5 update slices: two full slices and a half
+        size = int(2.5 * nn.UPDATE_SLICE)
+        net = make_net(size // 10 - 1, [(10, "linear")], seed=4)
+        assert net.parameter_count() == size
+        rng = np.random.default_rng(7)
+        net.cache[:] = rng.uniform(0.0, 1e-3, size)
+        lr, rho, eps = nn.RMSPROP_LEARNING_RATE, nn.RMSPROP_RHO, nn.RMSPROP_EPSILON
+        own, whole = nn.TrainingCopy(net), net
+        for _ in range(3):
+            g = rng.normal(size=size)
+            own.grads[:] = g
+            own.update()
+            # whole-vector RMSprop, (1 - rho) * g formed before the second * g
+            cache = rho * whole.cache + (1.0 - rho) * g * g
+            params = whole.params - lr * g / (np.sqrt(cache) + eps)
+            whole = NetworkState(net.topology, params, cache)
+            for a, b in zip(arrays_of(own.state), arrays_of(whole), strict=True):
+                assert a.tobytes() == b.tobytes()
+
+    def test_update_scratch_is_one_slice(self):
+        # a copy holds params, cache and gradients, plus at most one
+        # slice of update scratch, however large the network
+        net = make_net(int(2.5 * nn.UPDATE_SLICE) // 10 - 1, [(10, "linear")])
+        tracemalloc.start()
+        try:
+            own = nn.TrainingCopy(net)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 8 * (3 * net.parameter_count() + nn.UPDATE_SLICE) + 4096
+        assert own.grads.size == net.parameter_count()
+
+    def test_k_fits_in_place_equal_k_chained_train_epochs(self):
+        net = make_net(3, [(5, "tanh"), (4, "relu"), (2, "linear")], seed=8)
+        data = np.random.default_rng(3)
+        own, chained = nn.TrainingCopy(net), net
+        owned = own.state
+        rng, chained_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for k in range(4):
+            dataset = data.uniform(-1, 1, (9 + k, 3)), data.uniform(-1, 1, (9 + k, 2))
+            loss = own.fit(dataset, 2, 4, rng)
+            chained, chained_loss = train_epochs(chained, dataset, 2, 4, chained_rng)
+            assert loss == chained_loss
+            assert_same_training(own.state, chained, rng, chained_rng)
+        assert own.state is owned
 
 
 class TestTrainEpochs:
