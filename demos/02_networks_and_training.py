@@ -2,9 +2,9 @@
 
 Builds a small network, verifies the hand-written backward pass against
 central finite differences, steps a one-weight network through RMSprop
-with `rmsprop_step`, and fits a toy regression.  A network is two flat
-vectors, its parameters and their RMSprop cache; `weights[l]` and
-`biases[l]` are views of the parameters.
+with `rmsprop_step`, and fits a toy regression in place on a
+`TrainingCopy`.  A network is two flat vectors, its parameters and their
+RMSprop cache; `weights[l]` and `biases[l]` are views of the parameters.
 """
 
 import numpy as np
@@ -19,15 +19,15 @@ from perfgan import (
     init_network,
     loss_mse,
     rmsprop_step,
-    train_epochs,
 )
+from perfgan.nn import TrainingCopy
 
 rng = np.random.default_rng(0)
 
 topology = NetworkTopology(2, (LayerSpec(8, "tanh"), LayerSpec(1, "linear")))
 net = init_network(topology, rng)
 print(f"network: 2 -> 8 (tanh) -> 1 (linear), "
-      f"{net.parameter_count()} parameters")
+      f"{net.params.size} parameters")
 
 # Gradient check: analytic backward vs central differences on one weight.
 x = rng.uniform(-1, 1, size=(4, 2))
@@ -59,11 +59,12 @@ for step in range(1, 4):
           f"w={one.weights[0][0, 0]:.8f}")
 
 # Fit y = x0*x1 on a handful of points; the loss falls monotonically
-# enough for a demo.  Each call trains a copy of `net`, cache included.
+# enough for a demo.  `fit` trains the copy of `net` in place, cache
+# included, and `net` itself stays as it was.
 x = rng.uniform(-1, 1, size=(64, 2))
 y = (x[:, 0] * x[:, 1])[:, None]
 print("\nfitting y = x0*x1:")
+own = TrainingCopy(net)
 for round_ in range(5):
-    net, loss = train_epochs(net, (x, y), epochs=100, minibatch=16,
-                             rng=np.random.default_rng(round_))
+    loss = own.fit((x, y), epochs=100, minibatch=16, rng=np.random.default_rng(round_))
     print(f"  after {(round_ + 1) * 100:3d} epochs: loss {loss:.5f}")

@@ -16,7 +16,6 @@ from .gan import (
     predict_fitness,
     sample_candidates,
     train_discriminator,
-    train_gan,
     train_generator,
 )
 from .generators import (
@@ -47,7 +46,6 @@ from .nn import (
     init_network,
     loss_mse,
     rmsprop_step,
-    train_epochs,
 )
 from .space import (
     Dimension,

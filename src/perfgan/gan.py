@@ -5,8 +5,8 @@ configuration in [-1, 1]^6; the discriminator regresses a candidate's
 fitness, its relu output unclamped above 1.  Each round (`fit_gan`) fits
 the discriminator to the executed tests' measured fitness, then trains
 the generator through it toward fitness 1, in place on two
-`TrainingCopy`s that a run holds for all its rounds; the `train_*` calls
-run the same steps on fresh copies, their arguments untouched.
+`TrainingCopy`s that a run holds for all its rounds; `train_discriminator`
+and `train_generator` run one phase on a fresh copy, arguments untouched.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .nn import (
     forward,
     forward_trace,
     init_network,
-    train_epochs,
 )
 from .space import NUM_DIMENSIONS
 
@@ -54,7 +53,7 @@ DISCRIMINATOR_TOPOLOGY = NetworkTopology(
 @dataclass(frozen=True)
 class GanHyperparams:
     """Online training schedule; a generator round draws as many noise
-    rows as `train_generator` is given suite size, at least 32."""
+    rows as `fit_generator` is given suite size, at least 32."""
 
     disc_epochs: int = 10
     gen_epochs: int = 10
@@ -97,13 +96,15 @@ def predict_fitness(gan: GanModel, inputs: np.ndarray) -> np.ndarray:
 def train_discriminator(
     gan: GanModel, dataset: Dataset, hp: GanHyperparams, rng: np.random.Generator
 ) -> GanModel:
-    """Fit the discriminator to measured fitness; generator untouched.
+    """Fit a copy of the discriminator to measured fitness
+    (`TrainingCopy.fit`); `gan` untouched.
 
     `dataset` is (normalized inputs (n, 6), fitness (n, 1)), as built by
     `TestSuite.training_arrays`.
     """
-    disc, _ = train_epochs(gan.discriminator, dataset, hp.disc_epochs, hp.minibatch, rng)
-    return replace(gan, discriminator=disc)
+    own = TrainingCopy(gan.discriminator)
+    own.fit(dataset, hp.disc_epochs, hp.minibatch, rng)
+    return replace(gan, discriminator=own.state)
 
 
 def fit_generator(gen: TrainingCopy, discriminator: NetworkState, hp: GanHyperparams,
@@ -143,11 +144,3 @@ def train_generator(gan: GanModel, hp: GanHyperparams, rng: np.random.Generator,
     own = TrainingCopy(gan.generator)
     fit_generator(own, gan.discriminator, hp, rng, suite_size)
     return replace(gan, generator=own.state)
-
-
-def train_gan(gan: GanModel, dataset: Dataset, hp: GanHyperparams,
-              rng: np.random.Generator) -> GanModel:
-    """`fit_gan` on copies of both networks; `gan` untouched."""
-    gen, disc = TrainingCopy(gan.generator), TrainingCopy(gan.discriminator)
-    fit_gan(gen, disc, dataset, hp, rng)
-    return GanModel(gen.state, disc.state)

@@ -19,10 +19,10 @@ written over its output activation, so one buffer holds all of a pass's
 input gradients.  Training updates a `TrainingCopy` in place: a copy of
 one network, cache included, with its gradient vector and one bounded
 update scratch.  Whoever holds it owns the copy: a run keeps one per
-network for all its retrains, and the public `train_epochs` and
-`rmsprop_step` make one per call.  Each `fit` builds one `StepArrays`
-set per batch size, so a step allocates nothing, and computes only what
-it reads: parameter gradients of the trained network
+network for all its retrains, and the public `rmsprop_step` and
+`gan.train_*` calls make one per call.  Each `fit` builds one
+`StepArrays` set per batch size, so a step allocates nothing, and
+computes only what it reads: parameter gradients of the trained network
 (`TrainingCopy.backward`), the input gradient of a frozen one
 (`StepArrays.relay`), and the loss in the last epoch only; the update
 spends the gradient buffer.
@@ -114,9 +114,6 @@ class NetworkState:
 
     def copy(self) -> "NetworkState":
         return NetworkState(self.topology, self.params.copy(), self.cache.copy())
-
-    def parameter_count(self) -> int:
-        return self.params.size
 
 
 @dataclass
@@ -404,11 +401,3 @@ def rmsprop_step(state: NetworkState, grads: Gradients) -> NetworkState:
     np.concatenate(flat, out=own.grads)
     own.update()
     return own.state
-
-
-def train_epochs(state: NetworkState, dataset: Dataset, epochs: int, minibatch: int,
-                 rng: np.random.Generator) -> tuple[NetworkState, float]:
-    """`TrainingCopy.fit` on a fresh copy of `state`; returns the trained
-    copy and the last epoch's mean loss, `state` untouched."""
-    own = TrainingCopy(state)
-    return own.state, own.fit(dataset, epochs, minibatch, rng)

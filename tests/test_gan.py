@@ -19,7 +19,6 @@ from perfgan.gan import (
     predict_fitness,
     sample_candidates,
     train_discriminator,
-    train_gan,
     train_generator,
 )
 from perfgan.nn import TrainingCopy, forward, loss_mse
@@ -36,10 +35,18 @@ def fresh_gan(seed=0):
     return init_gan(GanHyperparams(), np.random.default_rng(seed))
 
 
+def fit_round(gan, dataset, hp, rng):
+    """One `fit_gan` round on fresh copies of `gan`'s networks; returns the
+    trained copies, `gan` untouched."""
+    gen, disc = TrainingCopy(gan.generator), TrainingCopy(gan.discriminator)
+    fit_gan(gen, disc, dataset, hp, rng)
+    return GanModel(gen.state, disc.state)
+
+
 def trained_gan(seed=0):
     """A GAN after one short round, so both RMSprop caches are nonzero."""
     hp = GanHyperparams(disc_epochs=2, gen_epochs=2)
-    return train_gan(fresh_gan(seed), toy_suite(16, seed), hp, np.random.default_rng(seed))
+    return fit_round(fresh_gan(seed), toy_suite(16, seed), hp, np.random.default_rng(seed))
 
 
 def states_of(gan):
@@ -75,6 +82,10 @@ class TestInit:
         with pytest.raises(ValueError, match="^epochs and minibatch must be >= 1$"):
             GanHyperparams(**{field: 0})
 
+    @pytest.mark.parametrize("field", ["disc_epochs", "gen_epochs", "minibatch"])
+    def test_hyperparams_accept_one(self, field):
+        assert getattr(GanHyperparams(**{field: 1}), field) == 1
+
     def test_deterministic(self):
         a, b = fresh_gan(3), fresh_gan(3)
         assert nets_equal(a.generator, b.generator)
@@ -84,13 +95,13 @@ class TestInit:
         gan = fresh_gan()
         want = expected_parameter_count(GENERATOR_TOPOLOGY)
         assert want == 100 * 128 + 128 + 2 * (128 * 128 + 128) + 128 * 6 + 6 == 46_726
-        assert gan.generator.parameter_count() == want
+        assert gan.generator.params.size == want
 
     def test_discriminator_parameter_count(self):
         gan = fresh_gan()
         want = expected_parameter_count(DISCRIMINATOR_TOPOLOGY)
         assert want == 6 * 8 + 8 + 2 * (8 * 8 + 8) + 8 * 1 + 1 == 209
-        assert gan.discriminator.parameter_count() == want
+        assert gan.discriminator.params.size == want
 
     def test_dimension_chain(self):
         gan = fresh_gan()
@@ -299,25 +310,27 @@ class TestChainRule:
 
 
 class TestTrainGan:
+    """One online round (`fit_gan`), run on fresh copies of a GAN's networks."""
+
     def test_single_element_suite_runs_both_phases(self):
         # seed/point chosen so the relu output is live at the training point
         gan = fresh_gan(0)
         suite = constant_suite(np.full(6, 0.3), 0.4, 1)
-        after = train_gan(gan, suite, GanHyperparams(), np.random.default_rng(8))
+        after = fit_round(gan, suite, GanHyperparams(), np.random.default_rng(8))
         assert not nets_equal(after.discriminator, gan.discriminator)
         assert not nets_equal(after.generator, gan.generator)
 
     def test_deterministic(self):
         suite = toy_suite(16, seed=16)
-        a = train_gan(fresh_gan(17), suite, GanHyperparams(), np.random.default_rng(9))
-        b = train_gan(fresh_gan(17), suite, GanHyperparams(), np.random.default_rng(9))
+        a = fit_round(fresh_gan(17), suite, GanHyperparams(), np.random.default_rng(9))
+        b = fit_round(fresh_gan(17), suite, GanHyperparams(), np.random.default_rng(9))
         assert nets_equal(a.generator, b.generator)
         assert nets_equal(a.discriminator, b.discriminator)
 
     def test_equals_manual_composition(self):
         suite = toy_suite(40, seed=18)
         hp = GanHyperparams()
-        combined = train_gan(fresh_gan(19), suite, hp, np.random.default_rng(10))
+        combined = fit_round(fresh_gan(19), suite, hp, np.random.default_rng(10))
 
         rng = np.random.default_rng(10)
         staged = train_discriminator(fresh_gan(19), suite, hp, rng)
@@ -328,18 +341,18 @@ class TestTrainGan:
     def test_arguments_untouched_and_unshared(self):
         gan = trained_gan(24)
         before = [a.copy() for a in arrays_of(*states_of(gan))]
-        after = train_gan(gan, toy_suite(20, seed=25), GanHyperparams(),
+        after = fit_round(gan, toy_suite(20, seed=25), GanHyperparams(),
                           np.random.default_rng(13))
         assert_untouched_and_unshared(before, states_of(gan), states_of(after))
 
     def test_empty_suite_rejected(self):
         with pytest.raises(ValueError):
-            train_gan(fresh_gan(20), EMPTY_SUITE, GanHyperparams(),
+            fit_round(fresh_gan(20), EMPTY_SUITE, GanHyperparams(),
                       np.random.default_rng(0))
 
     def test_k_rounds_in_place_equal_k_chained_train_gan(self):
         # a run's two copies, trained round after round, against the
-        # public call that copies both networks every round
+        # public phase calls, which copy their network every round
         chained = trained_gan(26)
         gen, disc = TrainingCopy(chained.generator), TrainingCopy(chained.discriminator)
         owned = gen.state, disc.state
@@ -348,7 +361,8 @@ class TestTrainGan:
         for k in range(4):
             suite = toy_suite(30 + k, seed=k)
             fit_gan(gen, disc, suite, hp, rng)
-            chained = train_gan(chained, suite, hp, chained_rng)
+            chained = train_discriminator(chained, suite, hp, chained_rng)
+            chained = train_generator(chained, hp, chained_rng, suite_size=len(suite[0]))
             for a, b in zip(arrays_of(*owned), arrays_of(*states_of(chained)), strict=True):
                 assert a.tobytes() == b.tobytes()
             assert rng.bit_generator.state == chained_rng.bit_generator.state

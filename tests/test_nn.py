@@ -21,7 +21,6 @@ from perfgan.nn import (
     init_network,
     loss_mse,
     rmsprop_step,
-    train_epochs,
 )
 
 
@@ -116,7 +115,7 @@ class TestInit:
         net.cache[:] = 0.5
         copies = (net.copy(), copy.deepcopy(net), pickle.loads(pickle.dumps(net)))
         for state in (net,) + copies:
-            assert state.params.size == state.parameter_count() == 3 * 4 + 4 + 4 * 2 + 2
+            assert state.params.size == 3 * 4 + 4 + 4 * 2 + 2
             for a in state.weights + state.biases:
                 assert np.shares_memory(a, state.params)
             assert state.params.tobytes() == net.params.tobytes()
@@ -419,7 +418,7 @@ class TestTrainingCopy:
         # one linear layer of 2.5 update slices: two full slices and a half
         size = int(2.5 * nn.UPDATE_SLICE)
         net = make_net(size // 10 - 1, [(10, "linear")], seed=4)
-        assert net.parameter_count() == size
+        assert net.params.size == size
         rng = np.random.default_rng(7)
         net.cache[:] = rng.uniform(0.0, 1e-3, size)
         lr, rho, eps = nn.RMSPROP_LEARNING_RATE, nn.RMSPROP_RHO, nn.RMSPROP_EPSILON
@@ -445,8 +444,8 @@ class TestTrainingCopy:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert held <= 8 * (3 * net.parameter_count() + nn.UPDATE_SLICE) + 4096
-        assert own.grads.size == net.parameter_count()
+        assert held <= 8 * (3 * net.params.size + nn.UPDATE_SLICE) + 4096
+        assert own.grads.size == net.params.size
 
     def test_k_fits_in_place_equal_k_chained_train_epochs(self):
         net = make_net(3, [(5, "tanh"), (4, "relu"), (2, "linear")], seed=8)
@@ -457,13 +456,16 @@ class TestTrainingCopy:
         for k in range(4):
             dataset = data.uniform(-1, 1, (9 + k, 3)), data.uniform(-1, 1, (9 + k, 2))
             loss = own.fit(dataset, 2, 4, rng)
-            chained, chained_loss = train_epochs(chained, dataset, 2, 4, chained_rng)
+            fresh = nn.TrainingCopy(chained)
+            chained_loss, chained = fresh.fit(dataset, 2, 4, chained_rng), fresh.state
             assert loss == chained_loss
             assert_same_training(own.state, chained, rng, chained_rng)
         assert own.state is owned
 
 
 class TestTrainEpochs:
+    """`TrainingCopy.fit` on a fresh copy of a network."""
+
     @pytest.mark.parametrize("epochs, minibatch", [(0, 8), (1, 0)])
     def test_zero_epochs_or_minibatch_rejected(self, epochs, minibatch):
         net = make_net(2, [(3, "tanh"), (1, "linear")], seed=2)
@@ -471,22 +473,23 @@ class TestTrainEpochs:
         y = np.array([[0.5]])
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="^epochs and minibatch must be >= 1$"):
-            train_epochs(net, (x, y), epochs, minibatch, rng)
+            nn.TrainingCopy(net).fit((x, y), epochs, minibatch, rng)
 
     def test_targets_must_match_the_output(self):
         # a flat target would broadcast into the (1, 1) minibatch buffer
         net = make_net(2, [(3, "tanh"), (1, "linear")], seed=2)
         x, y = np.array([[0.1, 0.9]]), np.array([0.5])
         with pytest.raises(ValueError, match=r"^targets must be \(1, 1\), got \(1,\)$"):
-            train_epochs(net, (x, y), 1, 8, np.random.default_rng(0))
+            nn.TrainingCopy(net).fit((x, y), 1, 8, np.random.default_rng(0))
 
     def test_single_point_regression_improves(self):
         net = make_net(2, [(4, "tanh"), (1, "linear")], seed=5)
         x = np.array([[0.3, -0.7]])
         y = np.array([[0.8]])
         err_before = abs(forward(net, x)[0, 0] - 0.8)
-        trained, _ = train_epochs(net, (x, y), 200, 8, np.random.default_rng(1))
-        err_after = abs(forward(trained, x)[0, 0] - 0.8)
+        own = nn.TrainingCopy(net)
+        own.fit((x, y), 200, 8, np.random.default_rng(1))
+        err_after = abs(forward(own.state, x)[0, 0] - 0.8)
         assert err_after < err_before
 
     def test_same_seed_bit_identical(self):
@@ -496,8 +499,8 @@ class TestTrainEpochs:
         results = []
         for _ in range(2):
             net = make_net(2, [(4, "tanh"), (1, "relu")], seed=6)
-            trained, loss = train_epochs(net, (x, y), 5, 8, np.random.default_rng(9))
-            results.append((trained, loss))
+            own = nn.TrainingCopy(net)
+            results.append((own.state, own.fit((x, y), 5, 8, np.random.default_rng(9))))
         a, b = results
         assert a[1] == b[1]
         for wa, wb in zip(a[0].weights, b[0].weights):
@@ -506,8 +509,8 @@ class TestTrainEpochs:
     def test_empty_dataset_rejected(self):
         net = make_net(2, [(1, "linear")])
         with pytest.raises(ValueError):
-            train_epochs(net, (np.zeros((0, 2)), np.zeros((0, 1))), 1, 8,
-                         np.random.default_rng(0))
+            nn.TrainingCopy(net).fit((np.zeros((0, 2)), np.zeros((0, 1))), 1, 8,
+                                     np.random.default_rng(0))
 
     def test_one_trace_per_minibatch(self, monkeypatch):
         # the loss and the gradients of a minibatch read the same forward pass
@@ -522,24 +525,30 @@ class TestTrainEpochs:
         net = make_net(3, [(5, "tanh"), (2, "linear")], seed=8)
         x = np.random.default_rng(3).uniform(-1, 1, (10, 3))
         y = np.random.default_rng(4).uniform(-1, 1, (10, 2))
-        train_epochs(net, (x, y), 3, 4, np.random.default_rng(5))
+        nn.TrainingCopy(net).fit((x, y), 3, 4, np.random.default_rng(5))
         assert batch_sizes == [4, 4, 2] * 3
 
     def test_arguments_untouched_and_unshared(self):
+        # the state a copy was built from is untouched and shares no array
+        # with it
         net = make_net(3, [(5, "tanh"), (2, "linear")], seed=8)
         x = np.random.default_rng(3).uniform(-1, 1, (10, 3))
         y = np.random.default_rng(4).uniform(-1, 1, (10, 2))
-        net, _ = train_epochs(net, (x, y), 1, 4, np.random.default_rng(5))
+        own = nn.TrainingCopy(net)
+        own.fit((x, y), 1, 4, np.random.default_rng(5))
+        net = own.state
         before = [a.copy() for a in arrays_of(net)]
-        trained, _ = train_epochs(net, (x, y), 2, 4, np.random.default_rng(6))
-        assert_untouched_and_unshared(before, (net,), (trained,))
+        own = nn.TrainingCopy(net)
+        own.fit((x, y), 2, 4, np.random.default_rng(6))
+        assert_untouched_and_unshared(before, (net,), (own.state,))
 
     def test_shapes_preserved_by_training(self):
         net = make_net(3, [(5, "tanh"), (2, "linear")], seed=8)
         x = np.random.default_rng(3).uniform(-1, 1, (10, 3))
         y = np.random.default_rng(4).uniform(-1, 1, (10, 2))
-        trained, _ = train_epochs(net, (x, y), 3, 4, np.random.default_rng(5))
-        for w0, w1 in zip(net.weights, trained.weights):
+        own = nn.TrainingCopy(net)
+        own.fit((x, y), 3, 4, np.random.default_rng(5))
+        for w0, w1 in zip(net.weights, own.state.weights):
             assert w0.shape == w1.shape
 
 
@@ -665,7 +674,8 @@ class TestTrainingKernel:
         # a nonzero cache, so the update reads the one passed in
         net, _ = reference_train_epochs(net, dataset, 1, minibatch, np.random.default_rng(seed))
         rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        got, got_loss = train_epochs(net, dataset, epochs, minibatch, rng)
+        own = nn.TrainingCopy(net)
+        got_loss, got = own.fit(dataset, epochs, minibatch, rng), own.state
         want, want_loss = reference_train_epochs(net, dataset, epochs, minibatch, ref_rng)
         assert_same_training(got, want, rng, ref_rng)
         assert got_loss == want_loss
@@ -694,7 +704,10 @@ class TestTrainingKernel:
         x, y = data.uniform(-1, 1, (10, 3)), data.uniform(-1, 1, (10, 2))
         probe = forward_trace(net, x)
         before = [a.copy() for a in probe.activations]
-        results = [train_epochs(net, (x, y), 3, 4, np.random.default_rng(5)) for _ in range(2)]
+        results = []
+        for _ in range(2):
+            own = nn.TrainingCopy(net)
+            results.append((own.state, own.fit((x, y), 3, 4, np.random.default_rng(5))))
         (first, first_loss), (second, second_loss) = results
         assert first_loss == second_loss
         for a, b in zip(arrays_of(first), arrays_of(second), strict=True):
